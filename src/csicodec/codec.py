@@ -96,10 +96,15 @@ def fit_quantizer(codewords: np.ndarray, bit_width: int) -> QuantizerConfig:
 
 
 def quantize(codeword: np.ndarray, q: QuantizerConfig) -> np.ndarray:
-    """Nearest-bin symbols; out-of-range values clamp to the edge bins."""
+    """Nearest-bin symbols; out-of-range values clamp to the edge bins.
+
+    Non-finite entries have no bin and raise ValueError.
+    """
     x = np.asarray(codeword, dtype=np.float64)
     if x.shape != (q.codeword_dim,):
         raise ValueError("codeword length does not match the quantizer")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("codeword has non-finite entries")
     idx = np.floor((x - q.lower) / q.bin_width).astype(np.int64)
     return np.clip(idx, 0, (1 << q.bit_width) - 1).astype(np.int32)
 

@@ -122,6 +122,8 @@ def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
 
     targets: (B, C, 2). Returns the adapted codewords (B, n). The params are
     read only; steps = 0 returns all-zero codewords without any evaluation.
+    Raises TrainingDiverged naming the step when a loss, gradient or updated
+    codeword is non-finite.
     """
     dt = params.fourier.dtype
     cw = np.zeros((targets.shape[0], params.arch.codeword_dim), dtype=dt)
@@ -132,6 +134,8 @@ def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
         if not (np.all(np.isfinite(per_sample)) and np.all(np.isfinite(grad_cw))):
             raise TrainingDiverged(f"inner step {j}: non-finite loss or gradient")
         cw = cw - lr * grad_cw
+        if not np.all(np.isfinite(cw)):
+            raise TrainingDiverged(f"inner step {j}: non-finite codeword")
     return cw
 
 
@@ -209,6 +213,19 @@ def _mean_nmse_db(params: ModelParams, feats: np.ndarray, planes: np.ndarray,
     return float(10.0 * np.log10(np.mean(np.concatenate(ratios))))
 
 
+def _validate(params: ModelParams, feats: np.ndarray, planes: np.ndarray,
+              cfg: TrainConfig, epoch: int) -> float:
+    """Validation NMSE in dB; raises TrainingDiverged naming the epoch when
+    the inner loop diverges or the result is not finite."""
+    try:
+        val = _mean_nmse_db(params, feats, planes, cfg)
+    except TrainingDiverged as err:
+        raise TrainingDiverged(f"epoch {epoch}, validation: {err}") from err
+    if not np.isfinite(val):
+        raise TrainingDiverged(f"epoch {epoch}: validation NMSE is not finite")
+    return val
+
+
 def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
           cfg: TrainConfig):
     """Meta-train on the train split, select by validation NMSE.
@@ -237,7 +254,7 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
     val_planes = val_ds.planes.reshape(len(val_ds), len(grid), 2)
 
     adam = AdamState.for_params(params)
-    val0 = _mean_nmse_db(params, feats, val_planes, cfg)
+    val0 = _validate(params, feats, val_planes, cfg, 0)
     log.epochs.append((0, val0))
     best_val, best_params, best_epoch = val0, params, 0
     since_best = 0
@@ -257,7 +274,7 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
                     f"epoch {epoch}, outer step {step + 1}: {err}") from err
             step += 1
             log.steps.append((step, loss))
-        val = _mean_nmse_db(params, feats, val_planes, cfg)
+        val = _validate(params, feats, val_planes, cfg, epoch)
         log.epochs.append((epoch, val))
         if val < best_val:
             best_val, best_params, best_epoch = val, params, epoch

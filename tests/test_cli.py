@@ -94,6 +94,19 @@ def test_decode_without_sidecar_fails_cleanly(workspace, capsys):
     assert "sidecar" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_fails_cleanly(workspace, capsys):
+    rc = main(["train", "--dataset", str(workspace["ds"]),
+               "--out", str(workspace["root"] / "diverged.ckpt"),
+               "--train-count", "8", "--val-count", "4", "--batch-size", "4",
+               "--epochs", "1", "--inner-lr", "1e40", "--seed", "1",
+               *ARCH_ARGS])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: epoch 0")
+    assert not (workspace["root"] / "diverged.ckpt").exists()
+
+
 def test_eval_prints_metrics_and_writes_csv(workspace, capsys):
     out_csv = workspace["root"] / "eval.csv"
     assert main(["eval", "--checkpoint", str(workspace["ckpt"]),

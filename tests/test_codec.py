@@ -75,6 +75,13 @@ def test_out_of_range_values_clamp_to_edge_bins():
     np.testing.assert_array_equal(quantize(np.array([9.0, 99.0]), q), [7, 7])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_codeword_entries_are_rejected(bad):
+    q = simple_quantizer(3)
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize(np.array([0.0, bad]), q)
+
+
 def test_fit_quantizer_widens_bounds_by_one_percent():
     cw = np.array([[0.0, 5.0], [2.0, 5.0], [1.0, 5.0]])
     q = fit_quantizer(cw, 4)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from csicodec import siren
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
 from csicodec.siren import (
     backward_batch,
@@ -155,6 +156,87 @@ def test_analytic_gradients_match_finite_differences():
     assert set(report) >= {"codeword", "w1", "out_w", "scale_w1", "shift_w1"}
     worst = max(report.values())
     assert worst < 1e-4, report
+
+
+def serial_finite_diff(params, codeword, coords, targets, h=1e-5):
+    """Reference for finite_diff_check: one scalar, two forward calls at a time."""
+    p = params.cast(np.float64)
+    cw = np.asarray(codeword, dtype=np.float64).copy()
+    _, tape = forward(p, cw, coords)
+    _, grad_cw, grads = backward_batch(tape, p, targets[None], need_params=True)
+    analytic = {"codeword": grad_cw[0], **grads}
+    report = {}
+    for name, arr in {"codeword": cw, **p.trainable_blocks()}.items():
+        flat = arr.reshape(-1)
+        numeric = np.empty(flat.size)
+        for k in range(flat.size):
+            keep = flat[k]
+            flat[k] = keep + h
+            hi = loss_mse(forward(p, cw, coords)[0], targets)
+            flat[k] = keep - h
+            lo = loss_mse(forward(p, cw, coords)[0], targets)
+            flat[k] = keep
+            numeric[k] = (hi - lo) / (2.0 * h)
+        ana = analytic[name].reshape(-1)
+        scale = max(np.abs(ana).max(), np.abs(numeric).max(), 1e-8)
+        report[name] = np.abs(ana - numeric).max() / scale
+    return report
+
+
+# the small budget splits most blocks into several chunks with a remainder
+@pytest.mark.parametrize("stack_bytes", [siren._FD_STACK_BYTES, 40_000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_finite_diff_matches_the_serial_reference(monkeypatch, seed,
+                                                           stack_bytes):
+    monkeypatch.setattr(siren, "_FD_STACK_BYTES", stack_bytes)
+    arch = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
+                      omega0=30.0, fourier_scale=2.0)
+    coords = CoordinateGrid(3, 3).flat_coords()
+    rng = np.random.default_rng(seed)
+    p = init_params(seed, arch, mod_scale=1.0)
+    cw = rng.normal(0.0, 0.5, arch.codeword_dim)
+    targets = rng.uniform(-1, 1, (len(coords), 2))
+    batched = finite_diff_check(p, cw, coords, targets)
+    serial = serial_finite_diff(p, cw, coords, targets)
+    assert batched.keys() == serial.keys()
+    # losses agree to float64 rounding (~1e-16 relative); over 2h = 2e-5
+    # and a block scale of order one that leaves ~1e-11 in a report
+    for name in serial:
+        assert batched[name] == pytest.approx(serial[name], abs=1e-9), name
+
+
+@pytest.mark.parametrize("block", ["w2", "shift_w1", "codeword"])
+def test_finite_diff_catches_a_wrong_gradient_block(monkeypatch, block):
+    real = siren.backward_batch
+
+    def corrupted(tape, params, targets, need_params):
+        per_sample, grad_cw, grads = real(tape, params, targets, need_params)
+        g = grad_cw if block == "codeword" else grads[block]
+        g.flat[0] += 0.01 * np.abs(g).max()
+        return per_sample, grad_cw, grads
+
+    monkeypatch.setattr(siren, "backward_batch", corrupted)
+    p = f64_params(seed=1)
+    rng = np.random.default_rng(9)
+    report = finite_diff_check(p, rng.normal(size=ARCH.codeword_dim), COORDS,
+                               rng.uniform(-1, 1, (len(COORDS), 2)))
+    assert report[block] >= 1e-3, report
+    assert all(err < 1e-4 for name, err in report.items() if name != block), report
+
+
+def test_finite_diff_refuses_a_forward_it_does_not_reproduce(monkeypatch):
+    real = siren.forward_batch
+
+    def shifted(*args, **kwargs):
+        out, tape = real(*args, **kwargs)
+        tape.outputs = out + 1e-6
+        return tape.outputs, tape
+
+    monkeypatch.setattr(siren, "forward_batch", shifted)
+    p = f64_params()
+    with pytest.raises(RuntimeError, match="forward_batch"):
+        finite_diff_check(p, np.zeros(ARCH.codeword_dim), COORDS,
+                          np.ones((len(COORDS), 2)))
 
 
 def test_finite_diff_rejects_nonpositive_step():

@@ -170,6 +170,27 @@ def test_divergence_error_names_epoch_and_step():
         train(train_ds, val_ds, ARCH, cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_inner_rate_diverges_at_the_first_validation():
+    train_ds, val_ds = tiny_splits()
+    cfg = TrainConfig(max_epochs=1, batch_size=4, inner_steps=1,
+                      inner_lr=1e40, seed=5, mod_scale=0.5)
+    # one inner step: the overflow happens in the final update
+    with pytest.raises(TrainingDiverged,
+                       match=r"epoch 0, validation: inner step 1: non-finite codeword"):
+        train(train_ds, val_ds, ARCH, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_validation_nmse_names_the_epoch():
+    train_ds, val_ds = tiny_splits()
+    val_ds.planes[:, 0, 0, 0] = np.inf
+    cfg = TrainConfig(max_epochs=3, batch_size=4, inner_steps=0, seed=5,
+                      mod_scale=0.5)
+    with pytest.raises(TrainingDiverged, match=r"epoch 0: validation NMSE"):
+        train(train_ds, val_ds, ARCH, cfg)
+
+
 def test_mismatched_grids_are_rejected():
     train_ds, _ = tiny_splits()
     other = generate_dataset(4, 1, half_wavelength_config(
