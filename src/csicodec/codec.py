@@ -193,13 +193,8 @@ class Bitstream:
 
 
 def save_bitstream(stream: Bitstream, path) -> None:
-    header = _STREAM_HEADER.pack(STREAM_MAGIC, FORMAT_VERSION,
-                                 stream.codeword_dim, stream.bit_width,
-                                 stream.flags, 0, stream.sidecar_digest,
-                                 stream.payload_bits)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(stream.payload)
+        fh.write(serialize_bitstream(stream))
 
 
 def load_bitstream(path) -> Bitstream:
@@ -347,11 +342,12 @@ def decode_matrices(params: ModelParams, streams, grid: CoordinateGrid,
     """Batched decode of many bitstreams to physical matrices (N, R, C)."""
     cws = np.stack([decode_codeword(params, s, state) for s in streams])
     feats = fourier_features(params, grid.flat_coords())
-    outs = []
+    out = np.empty((cws.shape[0], len(grid), 2))
+    tape = None
     for start in range(0, cws.shape[0], batch_size):
-        out, _ = forward_batch(params, cws[start:start + batch_size], feats=feats)
-        outs.append(out)
-    out = np.concatenate(outs, axis=0).astype(np.float64)
+        batch, tape = forward_batch(params, cws[start:start + batch_size],
+                                    feats=feats, tape=tape)
+        out[start:start + batch.shape[0]] = batch
     re = out[..., 0].reshape(-1, grid.num_rows, grid.num_cols)
     im = out[..., 1].reshape(-1, grid.num_rows, grid.num_cols)
     return (re + 1j * im) * params.norm_scale

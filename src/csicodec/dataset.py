@@ -153,6 +153,10 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: size {len(blob)} != expected {expected}")
     planes = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(
         count, n_ant, n_sub, 2).copy()
+    if not (np.isfinite(norm_scale) and norm_scale > 0):
+        raise ValueError(f"{path}: norm_scale {norm_scale!r} is not a positive number")
+    if not np.all(np.isfinite(planes)):
+        raise ValueError(f"{path}: non-finite sample values")
     # The file format carries only grid shape, not carrier frequencies, so a
     # loaded dataset has cfg=None. Training and evaluation never need more.
     return Dataset(planes=planes, norm_scale=norm_scale, seed=seed)

@@ -2,15 +2,27 @@
 
 The computation graph is small and fixed (Fourier lift, modulated sine
 layers, linear head, squared error), so the backward pass is written out
-by hand instead of pulling in an autodiff framework. Per batch, layer
-pre-activations, activations, and cos terms are cached on a tape; the
-backward walk consumes the tape and emits gradients for the codeword and
-for every trainable parameter block. The fixed Fourier matrix gets no
-gradient. A central finite-difference checker validates every block: it
-moves many scalars of one block at once, as stacked copies of that block,
-through a private loss-only float64 pass that first has to reproduce
-`forward_batch`'s loss, so the check costs a few dozen batched passes
-instead of two forward calls per scalar.
+by hand instead of pulling in an autodiff framework. Per batch, each sine
+layer's pre-activation, its phase z = omega0 * (gamma * e + eta) and its
+activation sin(z) are cached on a tape; the backward walk consumes the tape
+and emits gradients for the codeword and for every trainable parameter
+block. `cos(z)` is taken in backward, only where it is used, so paths that
+never run backward (decoding, reconstruction, validation) never pay for it.
+The fixed Fourier matrix gets no gradient. A central finite-difference
+checker validates every block: it moves many scalars of one block at once,
+as stacked copies of that block, through a private loss-only float64 pass
+that first has to reproduce `forward_batch`'s loss, so the check costs a few
+dozen batched passes instead of two forward calls per scalar.
+
+The sine-layer loop works in place: bias, FiLM and sin write into the
+tape's own (B, C, d_h) arrays, and backward works in two scratch buffers
+the tape keeps after its first backward. A caller that loops passes its
+previous tape back to `forward_batch`; when batch size, coordinate count,
+width and dtype match, the tape's arrays are overwritten instead of freshly
+allocated, so the outputs returned by the earlier call change too. Backward
+never writes to the forward arrays, so it can run twice on one tape.
+Every operation keeps the operand order and dtype of the out-of-place
+formulas, so results are bit-identical to them.
 
 Everything here is batch-first internally: codewords are (B, n), targets
 (B, C, 2). The per-sample wrappers `forward`, `backward_codeword`, and
@@ -40,11 +52,29 @@ class ActivationTape:
     fourier_features: np.ndarray  # (C, 2*d_h), shared across the batch
     first_pre: np.ndarray        # (C, d_h) layer-1 pre-activation, shared
     pre: list                    # per layer (B, C, d_h); index 0 is None
-    cos_act: list                # per layer cos(omega0 * u_i), (B, C, d_h)
-    post: list                   # per layer F_i = sin(omega0 * u_i)
+    phase: list                  # per layer z_i = omega0 * u_i, (B, C, d_h)
+    post: list                   # per layer F_i = sin(z_i)
     gammas: list                 # per layer (B, d_h)
     etas: list                   # per layer (B, d_h)
     outputs: np.ndarray          # (B, C, 2)
+    work: tuple | None = None    # two (B, C, d_h) backward buffers, made on
+                                 # the first backward and reused after it
+
+    @classmethod
+    def empty(cls, B: int, C: int, d: int, layers: int, dtype) -> "ActivationTape":
+        block = lambda: np.empty((B, C, d), dtype=dtype)
+        return cls(codewords=None, fourier_features=None,
+                   first_pre=np.empty((C, d), dtype=dtype),
+                   pre=[None] + [block() for _ in range(layers - 1)],
+                   phase=[block() for _ in range(layers)],
+                   post=[block() for _ in range(layers)],
+                   gammas=[], etas=[],
+                   outputs=np.empty((B, C, 2), dtype=dtype))
+
+    def fits(self, B: int, C: int, d: int, layers: int, dtype) -> bool:
+        """Whether a forward of this shape can overwrite this tape's arrays."""
+        return (len(self.post) == layers and self.outputs.dtype == dtype
+                and self.post[0].shape == (B, C, d))
 
 
 @dataclass
@@ -71,11 +101,15 @@ def fourier_features(params: ModelParams, coords: np.ndarray) -> np.ndarray:
 
 def forward_batch(params: ModelParams, codewords: np.ndarray,
                   coords: np.ndarray | None = None,
-                  feats: np.ndarray | None = None):
+                  feats: np.ndarray | None = None,
+                  tape: ActivationTape | None = None):
     """Evaluate the network for a batch of codewords over one coordinate set.
 
-    Returns (outputs, tape) with outputs (B, C, 2). Exactly one of coords or
-    feats (precomputed fourier_features) must be given.
+    Returns (outputs, tape) with outputs (B, C, 2), a view of the tape.
+    Exactly one of coords or feats (precomputed fourier_features) must be
+    given. A tape from an earlier call with the same batch size, coordinate
+    count, width and dtype is overwritten in place and returned; any other
+    tape is left alone and a fresh one allocated.
     """
     a = params.arch
     dt = params.fourier.dtype
@@ -89,33 +123,33 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     if F0.shape[1] != 2 * a.hidden_dim or F0.dtype != dt:
         raise ValueError("feature matrix does not match the model")
 
-    gammas = [cw @ params.scale_w[i].T + params.scale_b[i]
-              for i in range(a.num_layers)]
-    etas = [cw @ params.shift_w[i].T + params.shift_b[i]
-            for i in range(a.num_layers)]
+    B, C, d, L = cw.shape[0], F0.shape[0], a.hidden_dim, a.num_layers
+    if tape is None or not tape.fits(B, C, d, L, dt):
+        tape = ActivationTape.empty(B, C, d, L, dt)
+    tape.codewords = cw
+    tape.fourier_features = F0
+    tape.gammas = [cw @ params.scale_w[i].T + params.scale_b[i] for i in range(L)]
+    tape.etas = [cw @ params.shift_w[i].T + params.shift_b[i] for i in range(L)]
 
-    first_pre = F0 @ params.layer_w[0].T + params.layer_b[0]   # (C, d_h)
-    pre = [None]
-    cos_act, post = [], []
-    u = gammas[0][:, None, :] * first_pre[None, :, :] + etas[0][:, None, :]
-    z = u * w0
-    cos_act.append(np.cos(z))
-    post.append(np.sin(z))
-    B, C, d = post[0].shape
-    for i in range(1, a.num_layers):
-        e = post[i - 1].reshape(B * C, d) @ params.layer_w[i].T
-        e = e.reshape(B, C, d) + params.layer_b[i]
-        pre.append(e)
-        u = gammas[i][:, None, :] * e + etas[i][:, None, :]
-        z = u * w0
-        cos_act.append(np.cos(z))
-        post.append(np.sin(z))
-    outputs = post[-1].reshape(B * C, d) @ params.out_w.T + params.out_b
-    outputs = outputs.reshape(B, C, 2)
-    tape = ActivationTape(codewords=cw, fourier_features=F0,
-                          first_pre=first_pre, pre=pre, cos_act=cos_act,
-                          post=post, gammas=gammas, etas=etas, outputs=outputs)
-    return outputs, tape
+    np.matmul(F0, params.layer_w[0].T, out=tape.first_pre)
+    tape.first_pre += params.layer_b[0]
+    for i in range(L):
+        if i == 0:
+            e = tape.first_pre                                 # (C, d_h)
+        else:
+            e = tape.pre[i]
+            np.matmul(tape.post[i - 1].reshape(B * C, d), params.layer_w[i].T,
+                      out=e.reshape(B * C, d))
+            e += params.layer_b[i]
+        z = tape.phase[i]                   # z = (gamma * e + eta) * omega0
+        np.multiply(tape.gammas[i][:, None, :], e, out=z)
+        z += tape.etas[i][:, None, :]
+        z *= w0
+        np.sin(z, out=tape.post[i])
+    np.matmul(tape.post[-1].reshape(B * C, d), params.out_w.T,
+              out=tape.outputs.reshape(B * C, 2))
+    tape.outputs += params.out_b
+    return tape.outputs, tape
 
 
 def forward(params: ModelParams, codeword: np.ndarray, coords: np.ndarray):
@@ -170,12 +204,19 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
     if need_params:
         grads["out_w"] = G.reshape(-1, 2).T @ tape.post[-1].reshape(-1, d)
         grads["out_b"] = G.sum(axis=(0, 1))
-    dF = (G.reshape(-1, 2) @ params.out_w).reshape(B, C, d)
+    if tape.work is None:
+        tape.work = (np.empty_like(tape.post[0]), np.empty_like(tape.post[0]))
+    # dF turns into du and then dE in place; scratch holds cos(z), then
+    # du * e, then the next layer's dF, and the two swap roles.
+    dF, scratch = tape.work
+    np.matmul(G.reshape(-1, 2), params.out_w, out=dF.reshape(-1, d))
     grad_cw = np.zeros((B, a.codeword_dim), dtype=dt)
     for i in range(a.num_layers - 1, -1, -1):
-        du = dF * tape.cos_act[i] * a.omega0
-        e = tape.first_pre[None, :, :] if i == 0 else tape.pre[i]
-        dgamma = np.sum(du * e, axis=1)                    # (B, d_h)
+        du = dF                                            # du = dF * cos(z) * omega0
+        du *= np.cos(tape.phase[i], out=scratch)
+        du *= a.omega0
+        e = tape.first_pre if i == 0 else tape.pre[i]
+        dgamma = np.sum(np.multiply(du, e, out=scratch), axis=1)   # (B, d_h)
         deta = np.sum(du, axis=1)
         if need_params:
             grads[f"scale_w{i + 1}"] = dgamma.T @ tape.codewords
@@ -183,7 +224,8 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
             grads[f"shift_w{i + 1}"] = deta.T @ tape.codewords
             grads[f"shift_b{i + 1}"] = deta.sum(axis=0)
         grad_cw += dgamma @ params.scale_w[i] + deta @ params.shift_w[i]
-        dE = du * tape.gammas[i][:, None, :]
+        dE = du
+        dE *= tape.gammas[i][:, None, :]
         if need_params:
             if i == 0:
                 grads["w1"] = dE.sum(axis=0).T @ tape.fourier_features
@@ -191,7 +233,8 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
                 grads[f"w{i + 1}"] = dE.reshape(-1, d).T @ tape.post[i - 1].reshape(-1, d)
             grads[f"b{i + 1}"] = dE.sum(axis=(0, 1))
         if i > 0:
-            dF = (dE.reshape(-1, d) @ params.layer_w[i]).reshape(B, C, d)
+            np.matmul(dE.reshape(-1, d), params.layer_w[i], out=scratch.reshape(-1, d))
+            dF, scratch = scratch, dE
     if need_params:
         grads = {k: grads[k] for k in params.trainable_blocks()}
     return per_sample, grad_cw, grads

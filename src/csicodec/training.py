@@ -127,8 +127,9 @@ def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
     """
     dt = params.fourier.dtype
     cw = np.zeros((targets.shape[0], params.arch.codeword_dim), dtype=dt)
+    tape = None
     for j in range(1, steps + 1):
-        _, tape = forward_batch(params, cw, feats=feats)
+        _, tape = forward_batch(params, cw, feats=feats, tape=tape)
         per_sample, grad_cw, _ = backward_batch(tape, params, targets,
                                                 need_params=False)
         if not (np.all(np.isfinite(per_sample)) and np.all(np.isfinite(grad_cw))):

@@ -1,10 +1,12 @@
 """End-to-end smoke of every CLI subcommand at toy scale."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from csicodec.cli import main
-from csicodec.dataset import load_dataset
+from csicodec.dataset import load_dataset, save_dataset
 from csicodec.evaluate import read_report_csv
 from csicodec.model import load_checkpoint
 
@@ -105,6 +107,22 @@ def test_diverged_training_fails_cleanly(workspace, capsys):
     assert rc == 1
     assert captured.err.startswith("error: epoch 0")
     assert not (workspace["root"] / "diverged.ckpt").exists()
+
+
+def test_train_on_a_non_finite_dataset_fails_cleanly(workspace, capsys):
+    ds = load_dataset(workspace["ds"])
+    planes = ds.planes[:4].copy()
+    planes[1, 2, 0, 1] = np.nan
+    bad = workspace["root"] / "nan.csid"
+    save_dataset(replace(ds, planes=planes), bad)
+    rc = main(["train", "--dataset", str(bad),
+               "--out", str(workspace["root"] / "nan.ckpt"),
+               "--train-count", "2", "--val-count", "2", "--batch-size", "2",
+               "--epochs", "1", "--seed", "1", *ARCH_ARGS])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and "nan.csid" in captured.err
+    assert not (workspace["root"] / "nan.ckpt").exists()
 
 
 def test_eval_prints_metrics_and_writes_csv(workspace, capsys):

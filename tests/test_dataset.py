@@ -1,5 +1,7 @@
 """Dataset generation, normalisation, and the on-disk round trip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ def test_load_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(blob[:-5]))
     with pytest.raises(ValueError):
         load_dataset(truncated)
+
+
+def test_load_rejects_non_finite_values(tmp_path):
+    ds = generate_dataset(4, 1, CFG)
+    planes = ds.planes.copy()
+    planes[2, 1, 3, 0] = np.nan
+    nan_path = tmp_path / "nan.csid"
+    save_dataset(replace(ds, planes=planes), nan_path)
+    with pytest.raises(ValueError, match="nan.csid: non-finite"):
+        load_dataset(nan_path)
+
+    for scale in (0.0, -1.0, np.inf, np.nan):
+        path = tmp_path / "scale.csid"
+        save_dataset(replace(ds, norm_scale=scale), path)
+        with pytest.raises(ValueError, match="scale.csid: norm_scale"):
+            load_dataset(path)
 
 
 def test_split_is_disjoint_and_contiguous():

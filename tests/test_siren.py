@@ -263,6 +263,147 @@ def test_forward_backward_is_deterministic():
             np.testing.assert_array_equal(run1[2][name], run2[2][name])
 
 
+def reference_forward(params, codewords, feats):
+    """Out-of-place forward, kept as the reference for forward_batch's
+    in-place loop: every temporary is a fresh array, cos taken up front."""
+    a = params.arch
+    cw = np.asarray(codewords, dtype=params.fourier.dtype)
+    gammas = [cw @ params.scale_w[i].T + params.scale_b[i] for i in range(a.num_layers)]
+    etas = [cw @ params.shift_w[i].T + params.shift_b[i] for i in range(a.num_layers)]
+    first_pre = feats @ params.layer_w[0].T + params.layer_b[0]
+    pre, cos_act, post = [first_pre[None, :, :]], [], []
+    z = (gammas[0][:, None, :] * first_pre[None, :, :] + etas[0][:, None, :]) * a.omega0
+    cos_act.append(np.cos(z))
+    post.append(np.sin(z))
+    B, C, d = post[0].shape
+    for i in range(1, a.num_layers):
+        e = post[i - 1].reshape(B * C, d) @ params.layer_w[i].T
+        e = e.reshape(B, C, d) + params.layer_b[i]
+        pre.append(e)
+        z = (gammas[i][:, None, :] * e + etas[i][:, None, :]) * a.omega0
+        cos_act.append(np.cos(z))
+        post.append(np.sin(z))
+    out = (post[-1].reshape(B * C, d) @ params.out_w.T + params.out_b).reshape(B, C, 2)
+    return out, dict(cw=cw, feats=feats, pre=pre, cos_act=cos_act, post=post,
+                     gammas=gammas)
+
+
+def reference_backward(cache, params, outputs, targets):
+    """Out-of-place backward over reference_forward's cache."""
+    a = params.arch
+    B, C, _ = outputs.shape
+    d = a.hidden_dim
+    diff = outputs.astype(np.float64) - targets.astype(np.float64)
+    per_sample = np.mean(diff[..., 0] ** 2 + diff[..., 1] ** 2, axis=-1)
+    G = (outputs - targets) * (2.0 / C)
+    post = cache["post"]
+    grads = {"out_w": G.reshape(-1, 2).T @ post[-1].reshape(-1, d),
+             "out_b": G.sum(axis=(0, 1))}
+    dF = (G.reshape(-1, 2) @ params.out_w).reshape(B, C, d)
+    grad_cw = np.zeros((B, a.codeword_dim), dtype=outputs.dtype)
+    for i in range(a.num_layers - 1, -1, -1):
+        du = dF * cache["cos_act"][i] * a.omega0
+        dgamma = np.sum(du * cache["pre"][i], axis=1)
+        deta = np.sum(du, axis=1)
+        grads[f"scale_w{i + 1}"] = dgamma.T @ cache["cw"]
+        grads[f"scale_b{i + 1}"] = dgamma.sum(axis=0)
+        grads[f"shift_w{i + 1}"] = deta.T @ cache["cw"]
+        grads[f"shift_b{i + 1}"] = deta.sum(axis=0)
+        grad_cw += dgamma @ params.scale_w[i] + deta @ params.shift_w[i]
+        dE = du * cache["gammas"][i][:, None, :]
+        if i == 0:
+            grads["w1"] = dE.sum(axis=0).T @ cache["feats"]
+        else:
+            grads[f"w{i + 1}"] = dE.reshape(-1, d).T @ post[i - 1].reshape(-1, d)
+            dF = (dE.reshape(-1, d) @ params.layer_w[i]).reshape(B, C, d)
+        grads[f"b{i + 1}"] = dE.sum(axis=(0, 1))
+    return per_sample, grad_cw, grads
+
+
+DESK = ArchConfig(hidden_dim=64, num_layers=5, codeword_dim=16,
+                  omega0=30.0, fourier_scale=2.0)
+
+
+def film_case(dtype, arch=ARCH, grid=(4, 4), batch=3, seed=0):
+    """Params, features, codewords and targets with a non-trivial FiLM."""
+    p = init_params(seed, arch, mod_scale=1.0).cast(dtype)
+    rng = np.random.default_rng(seed + 100)
+    coords = CoordinateGrid(*grid).flat_coords()
+    cws = rng.normal(0.0, 0.5, (batch, arch.codeword_dim)).astype(dtype)
+    targets = rng.uniform(-1, 1, (batch, len(coords), 2)).astype(dtype)
+    return p, fourier_features(p, coords), cws, targets
+
+
+def assert_same_gradients(run, expected):
+    per_sample, grad_cw, grads = run
+    np.testing.assert_array_equal(per_sample, expected[0])
+    np.testing.assert_array_equal(grad_cw, expected[1])
+    assert grads.keys() == expected[2].keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], expected[2][name], err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch,grid,batch", [(ARCH, (4, 4), 3), (DESK, (16, 16), 64)])
+def test_in_place_loop_is_bit_identical_to_the_reference(dtype, arch, grid, batch):
+    p, feats, cws, targets = film_case(dtype, arch, grid, batch)
+    out, tape = forward_batch(p, cws, feats=feats)
+    ref_out, cache = reference_forward(p, cws, feats)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, ref_out)
+    expected = reference_backward(cache, p, ref_out, targets)
+    assert_same_gradients(backward_batch(tape, p, targets, need_params=True), expected)
+    cw_only = backward_batch(tape, p, targets, need_params=False)
+    assert cw_only[2] is None
+    np.testing.assert_array_equal(cw_only[1], expected[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reused_tape_matches_a_fresh_one(dtype):
+    p, feats, cws, targets = film_case(dtype)
+    _, tape = forward_batch(p, cws[::-1] * 2.0, feats=feats)
+    backward_batch(tape, p, targets, need_params=True)
+    arrays = [id(x) for x in (tape.outputs, tape.first_pre, *tape.pre[1:],
+                              *tape.phase, *tape.post, *tape.work)]
+
+    out, again = forward_batch(p, cws, feats=feats, tape=tape)
+    assert again is tape
+    assert out is tape.outputs
+    run = backward_batch(tape, p, targets, need_params=True)
+    assert arrays == [id(x) for x in (tape.outputs, tape.first_pre, *tape.pre[1:],
+                                      *tape.phase, *tape.post, *tape.work)]
+
+    fresh_out, fresh = forward_batch(p, cws, feats=feats)
+    np.testing.assert_array_equal(out, fresh_out)
+    assert_same_gradients(run, backward_batch(fresh, p, targets, need_params=True))
+
+
+def test_tape_of_another_shape_is_left_alone():
+    p, feats, cws, _ = film_case(np.float32, batch=3)
+    out3, tape3 = forward_batch(p, cws, feats=feats)
+    kept = out3.copy()
+    p64 = p.cast(np.float64)
+    for params, batch in ((p, cws[:2]), (p64, cws)):
+        f = fourier_features(params, COORDS)
+        out, tape = forward_batch(params, batch, feats=f, tape=tape3)
+        assert tape is not tape3
+        np.testing.assert_array_equal(out, forward_batch(params, batch, feats=f)[0])
+    np.testing.assert_array_equal(out3, kept)
+
+
+def test_backward_twice_on_one_tape_agrees_and_keeps_the_tape():
+    p, feats, cws, targets = film_case(np.float32)
+    _, tape = forward_batch(p, cws, feats=feats)
+    forward_arrays = [x.copy() for x in (tape.outputs, tape.first_pre, *tape.pre[1:],
+                                         *tape.phase, *tape.post)]
+    first = backward_batch(tape, p, targets, need_params=True)
+    backward_batch(tape, p, targets, need_params=False)
+    assert_same_gradients(backward_batch(tape, p, targets, need_params=True), first)
+    for before, now in zip(forward_arrays, (tape.outputs, tape.first_pre, *tape.pre[1:],
+                                            *tape.phase, *tape.post)):
+        np.testing.assert_array_equal(before, now)
+
+
 def test_forward_validates_inputs():
     p = init_params(0, ARCH)
     with pytest.raises(ValueError):
