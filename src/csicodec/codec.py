@@ -11,6 +11,15 @@ sidecar so drift is detected instead of silently decoded.
 
 Channel matrices cross this module's public API in the physical domain;
 normalization by the checkpoint's norm_scale happens internally.
+
+There is one batched path each way: encode_dataset (through
+adapt_codewords) and decode_matrices. The single-message encode_sample and
+decode_sample are their batch-of-one calls. Both batched paths split the
+stack into tiles of at most 16 rows and run them on every CPU in the
+process's affinity mask, with NumPy's OpenBLAS pinned to one thread while
+they run and restored afterwards (util.map_tiles); a stack of one runs
+inline. Each tile writes its own rows of one preallocated result, so the
+output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from .entropy import (
     unpack_symbols,
 )
 from .model import CoordinateGrid, ModelParams
-from .siren import forward_batch, fourier_features
+from .siren import ActivationTape, forward_batch, fourier_features
 from .training import inner_adapt_batch
+from .util import map_tiles
 
 STREAM_MAGIC = b"CSIF"
 SIDECAR_MAGIC = b"CSIQ"
@@ -241,22 +251,34 @@ def _to_planes(params: ModelParams, matrices: np.ndarray):
 
 
 def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
-                    inner_lr: float = 1e-2, batch_size: int = 64) -> np.ndarray:
-    """Inner-loop codewords for a stack of physical channel matrices."""
+                    inner_lr: float = 1e-2, batch_size: int = 16) -> np.ndarray:
+    """Inner-loop codewords for a stack of physical channel matrices.
+
+    Tiles of at most batch_size matrices adapt in parallel (util.map_tiles);
+    each worker reuses one activation tape across its tiles.
+    """
     planes, grid = _to_planes(params, matrices)
     feats = fourier_features(params, grid.flat_coords())
-    out = []
-    for start in range(0, planes.shape[0], batch_size):
-        out.append(inner_adapt_batch(params, feats, planes[start:start + batch_size],
-                                     inner_steps, inner_lr))
-    return np.concatenate(out, axis=0)
+    a, dt = params.arch, params.fourier.dtype
+    out = np.empty((planes.shape[0], a.codeword_dim), dtype=dt)
+
+    def adapt(start, stop, tape):
+        if tape is None:
+            tape = ActivationTape.empty(stop - start, len(grid), a.hidden_dim,
+                                        a.num_layers, dt)
+        out[start:stop] = inner_adapt_batch(params, feats, planes[start:stop],
+                                            inner_steps, inner_lr, tape=tape)
+        return tape
+
+    map_tiles(adapt, planes.shape[0], batch_size)
+    return out
 
 
 def fit_codec_state(params: ModelParams, matrices: np.ndarray, bit_width: int,
                     inner_steps: int, inner_lr: float = 1e-2) -> CodecState:
     """Fit quantizer bounds and frequency table on training-set codewords.
 
-    Codewords are produced exactly the way encode_sample produces them, so
+    Codewords are produced exactly the way encode_dataset produces them, so
     the fitted bounds describe the codewords the codec will actually see.
     """
     codewords = adapt_codewords(params, matrices, inner_steps, inner_lr)
@@ -279,25 +301,10 @@ def _payload_for(symbols: np.ndarray, state: CodecState):
 def encode_sample(params: ModelParams, matrix: np.ndarray, inner_steps: int,
                   state: CodecState | None = None,
                   inner_lr: float = 1e-2) -> Bitstream:
-    """Transmitter chain for one physical channel matrix.
-
-    Adapts a codeword from zero with the base network frozen, then either
-    quantizes and entropy codes it (state given) or emits the raw float32
-    codeword with the unquantized flag (state None).
-    """
-    cw = adapt_codewords(params, np.asarray(matrix)[None, :, :],
-                         inner_steps, inner_lr)[0]
-    n = params.arch.codeword_dim
-    if state is None:
-        payload = np.ascontiguousarray(cw, dtype="<f4").tobytes()
-        return Bitstream(codeword_dim=n, bit_width=0, flags=FLAG_UNQUANTIZED,
-                         sidecar_digest=_NO_DIGEST, payload=payload,
-                         payload_bits=32 * n)
-    symbols = quantize(cw, state.quantizer)
-    flags, payload, bits = _payload_for(symbols, state)
-    return Bitstream(codeword_dim=n, bit_width=state.quantizer.bit_width,
-                     flags=flags, sidecar_digest=state.digest(),
-                     payload=payload, payload_bits=bits)
+    """Transmitter chain for one physical channel matrix: encode_dataset on
+    a stack of one."""
+    return encode_dataset(params, np.asarray(matrix)[None], inner_steps,
+                          state, inner_lr)[0]
 
 
 def decode_codeword(params: ModelParams, stream: Bitstream,
@@ -329,25 +336,30 @@ def decode_codeword(params: ModelParams, stream: Bitstream,
 
 def decode_sample(params: ModelParams, stream: Bitstream, grid: CoordinateGrid,
                   state: CodecState | None = None) -> np.ndarray:
-    """Receiver chain: bitstream to a physical complex channel matrix."""
-    from .model import reconstruct
-
-    codeword = decode_codeword(params, stream, state)
-    return reconstruct(params, codeword, grid)
+    """Receiver chain for one bitstream: decode_matrices on a list of one."""
+    return decode_matrices(params, [stream], grid, state)[0]
 
 
 def decode_matrices(params: ModelParams, streams, grid: CoordinateGrid,
                     state: CodecState | None = None,
-                    batch_size: int = 64) -> np.ndarray:
-    """Batched decode of many bitstreams to physical matrices (N, R, C)."""
+                    batch_size: int = 16) -> np.ndarray:
+    """Receiver chain: bitstreams to physical complex matrices (N, R, C).
+
+    Each codeword is recovered from its stream, then tiles of at most
+    batch_size codewords run through the shared base network in parallel
+    (util.map_tiles); each worker reuses one activation tape.
+    """
     cws = np.stack([decode_codeword(params, s, state) for s in streams])
     feats = fourier_features(params, grid.flat_coords())
     out = np.empty((cws.shape[0], len(grid), 2))
-    tape = None
-    for start in range(0, cws.shape[0], batch_size):
-        batch, tape = forward_batch(params, cws[start:start + batch_size],
-                                    feats=feats, tape=tape)
-        out[start:start + batch.shape[0]] = batch
+
+    def decode(start, stop, tape):
+        batch, tape = forward_batch(params, cws[start:stop], feats=feats,
+                                    tape=tape)
+        out[start:stop] = batch
+        return tape
+
+    map_tiles(decode, cws.shape[0], batch_size)
     re = out[..., 0].reshape(-1, grid.num_rows, grid.num_cols)
     im = out[..., 1].reshape(-1, grid.num_rows, grid.num_cols)
     return (re + 1j * im) * params.norm_scale
@@ -356,7 +368,13 @@ def decode_matrices(params: ModelParams, streams, grid: CoordinateGrid,
 def encode_dataset(params: ModelParams, matrices: np.ndarray, inner_steps: int,
                    state: CodecState | None = None,
                    inner_lr: float = 1e-2) -> list:
-    """Transmitter chain over a stack of matrices; returns one Bitstream each."""
+    """Transmitter chain over a stack of physical channel matrices.
+
+    Adapts a codeword per matrix from zero with the base network frozen
+    (adapt_codewords), then either quantizes and entropy codes it (state
+    given) or emits the raw float32 codeword with the unquantized flag
+    (state None). Returns one Bitstream per matrix.
+    """
     cws = adapt_codewords(params, matrices, inner_steps, inner_lr)
     n = params.arch.codeword_dim
     streams = []

@@ -311,6 +311,10 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     time, 2K copies of that block (each with one scalar moved by +h or -h)
     go through one loss-only pass, with every other block shared. K is set
     so the copies stay within a few MB.
+
+    Raises ValueError at a point where every analytic gradient is exactly 0
+    (targets equal to the network's own outputs): the error of each block
+    would be difference-quotient noise over itself or over the 1e-8 floor.
     """
     if not (h > 0):
         raise ValueError("step h must be positive")
@@ -322,6 +326,10 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     out, tape = forward_batch(p, cw[None, :], feats=feats)
     per_sample, grad_cw, grads = backward_batch(tape, p, t, need_params=True)
     analytic = {"codeword": grad_cw[0], **grads}
+    if not any(np.any(g) for g in analytic.values()):
+        raise ValueError("every analytic gradient is exactly 0 (the targets "
+                         "are an exact fit, loss 0), so a relative error has "
+                         "no scale; check at another point")
     arrays = {"codeword": cw, **p.trainable_blocks()}
     point = {**arrays, "codeword": cw[None, :]}
     # Rounding of the loss scales with the output and target power, which

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .model import DEFAULT_MOD_SCALE, ArchConfig, CoordinateGrid, ModelParams, init_params
-from .siren import backward_batch, forward_batch, fourier_features
+from .siren import ActivationTape, backward_batch, forward_batch, fourier_features
 
 
 class TrainingDiverged(RuntimeError):
@@ -117,17 +117,19 @@ def _as_planes(target: np.ndarray) -> np.ndarray:
 
 
 def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
-                      targets: np.ndarray, steps: int, lr: float) -> np.ndarray:
+                      targets: np.ndarray, steps: int, lr: float,
+                      tape: ActivationTape | None = None) -> np.ndarray:
     """Adapt one codeword per target by plain gradient descent from zero.
 
     targets: (B, C, 2). Returns the adapted codewords (B, n). The params are
     read only; steps = 0 returns all-zero codewords without any evaluation.
-    Raises TrainingDiverged naming the step when a loss, gradient or updated
-    codeword is non-finite.
+    A tape that fits the batch (as in forward_batch) is overwritten by every
+    step, so a caller that loops can keep one; any other tape is left alone
+    and the steps share a fresh one. Raises TrainingDiverged naming the step
+    when a loss, gradient or updated codeword is non-finite.
     """
     dt = params.fourier.dtype
     cw = np.zeros((targets.shape[0], params.arch.codeword_dim), dtype=dt)
-    tape = None
     for j in range(1, steps + 1):
         _, tape = forward_batch(params, cw, feats=feats, tape=tape)
         per_sample, grad_cw, _ = backward_batch(tape, params, targets,
@@ -201,10 +203,12 @@ def _mean_nmse_db(params: ModelParams, feats: np.ndarray, planes: np.ndarray,
     duplicated here in four lines to keep training free of that dependency.
     """
     ratios = []
+    tape = None
     for start in range(0, planes.shape[0], cfg.batch_size):
         t = planes[start:start + cfg.batch_size]
-        cw = inner_adapt_batch(params, feats, t, cfg.inner_steps, cfg.inner_lr)
-        out, _ = forward_batch(params, cw, feats=feats)
+        cw = inner_adapt_batch(params, feats, t, cfg.inner_steps, cfg.inner_lr,
+                               tape=tape)
+        out, tape = forward_batch(params, cw, feats=feats, tape=tape)
         diff = out.astype(np.float64) - t.astype(np.float64)
         num = np.sum(diff ** 2, axis=(1, 2))
         den = np.sum(t.astype(np.float64) ** 2, axis=(1, 2))

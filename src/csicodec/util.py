@@ -1,8 +1,27 @@
-"""Small shared helpers."""
+"""Small shared helpers: the config fingerprint and the tile-parallel map.
+
+`map_tiles` runs independent per-sample work (codeword adaptation,
+decoding) over tiles of a stack, one thread per CPU in the process's
+affinity mask. NumPy's GEMMs, FiLM, sin and cos loops release the
+interpreter lock, so the threads overlap. While it runs, NumPy's bundled
+OpenBLAS is pinned to one thread, set at run time through its exported
+`scipy_openblas_set_num_threads64_`; the caller's count is restored on the
+way out. Restrict the CPUs with `taskset` to use fewer.
+"""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import cache
+from typing import Callable
+
+import numpy as np
 
 
 def config_fingerprint(config: dict) -> str:
@@ -28,3 +47,106 @@ def config_fingerprint(config: dict) -> str:
         parts.append(f"{key}={text}")
     blob = "\n".join(parts).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
+
+
+@dataclass(frozen=True)
+class _BlasThreads:
+    """Getter and setter of the BLAS library's thread count."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@cache
+def _openblas_threads() -> _BlasThreads | None:
+    """Thread-count handle of the OpenBLAS that NumPy links, or None.
+
+    Only the scipy-openblas build that NumPy wheels bundle is recognised:
+    any other BLAS, or a build without the exported symbols, gives None.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    if blas.get("name") != "scipy-openblas":
+        return None
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so*"))):
+        lib = ctypes.CDLL(path)   # already loaded by NumPy: the same instance
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _BlasThreads(get=get, set=set_)
+    return None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_tiles(fn: Callable, count: int, tile: int) -> None:
+    """Call fn(start, stop, carry) for every tile [start, stop) of range(count).
+
+    Tiles hold at most `tile` rows and run on up to one thread per CPU in
+    the affinity mask. Each thread passes a carry through its tiles: its
+    first call gets None and every later call what the previous one
+    returned, so a worker can reuse its buffers (an activation tape). fn
+    must write only its own tile's part of a shared result, so the result
+    does not depend on which thread ran which tile.
+
+    While the call runs, NumPy's OpenBLAS runs one thread per GEMM, so
+    concurrent tiles do not contend for the cores; the caller's thread
+    count is restored on the way out, also when fn raises. Inline runs are
+    pinned too: at a tile's few rows a second BLAS thread gains little, and
+    right after a parallel region it is asleep, so the single messages that
+    follow would wait on it (up to twice their time, measured). A raising
+    tile stops the tiles not yet started, and its exception is re-raised
+    here. Runs inline, in tile order, when there is one tile or one CPU,
+    and also without an OpenBLAS thread handle, in which case nothing is
+    pinned.
+    """
+    if tile < 1:
+        raise ValueError("tile must be >= 1")
+    starts = range(0, count, tile)
+    blas = _openblas_threads()
+    pending = iter(starts)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def work():
+        carry = None
+        try:
+            while not failed.is_set():
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                carry = fn(start, min(start + tile, count), carry)
+        except BaseException:
+            failed.set()
+            raise
+
+    if blas is None:
+        work()
+        return
+    workers = min(len(starts), _cpu_count())
+    prior = blas.get()
+    blas.set(1)
+    try:
+        if workers <= 1:
+            work()
+        else:
+            with ThreadPoolExecutor(workers, thread_name_prefix="csicodec-tile") as pool:
+                futures = [pool.submit(work) for _ in range(workers)]
+            for future in futures:
+                future.result()
+    finally:
+        failed.set()    # an interrupted wait leaves no tile to start
+        blas.set(prior)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csicodec import util
 from csicodec.codec import (
     FLAG_ENTROPY,
     FLAG_RAW,
@@ -10,6 +11,8 @@ from csicodec.codec import (
     Bitstream,
     CodecState,
     QuantizerConfig,
+    _payload_for,
+    adapt_codewords,
     decode_codeword,
     decode_matrices,
     decode_sample,
@@ -28,6 +31,7 @@ from csicodec.codec import (
 )
 from csicodec.entropy import FrequencyTable
 from csicodec.model import ArchConfig, CoordinateGrid, init_params, reconstruct
+from csicodec.training import TrainingDiverged
 
 ARCH = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
                   omega0=30.0, fourier_scale=2.0)
@@ -165,7 +169,6 @@ def test_unquantized_stream_is_lossless_in_float32():
     assert stream.flags == FLAG_UNQUANTIZED
     assert stream.payload_bits == 32 * ARCH.codeword_dim
     cw = decode_codeword(params, stream)
-    from csicodec.codec import adapt_codewords
     expected = adapt_codewords(params, mat[None, :, :], 3)[0]
     np.testing.assert_array_equal(cw.astype(np.float32), expected)
     np.testing.assert_allclose(decode_sample(params, stream, GRID),
@@ -284,6 +287,63 @@ def test_batched_decode_matches_per_sample_decode():
     singles = np.stack([decode_sample(params, s, GRID, state)
                         for s in streams])
     np.testing.assert_allclose(batched, singles, atol=1e-6)
+
+
+def test_single_message_paths_equal_the_per_message_chain():
+    # encode_sample and decode_sample are batch-of-one calls of the batched
+    # paths; the reference spells out the per-message chain they replaced.
+    params = make_model()
+    mats = make_matrices(15, count=4)
+    state = fit_codec_state(params, mats, bit_width=4, inner_steps=2)
+    n = ARCH.codeword_dim
+    for st in (None, state):
+        for mat in mats:
+            stream = encode_sample(params, mat, 2, st)
+            cw = adapt_codewords(params, mat[None, :, :], 2)[0]
+            if st is None:
+                expected = Bitstream(n, 0, FLAG_UNQUANTIZED, bytes(16),
+                                     cw.astype("<f4").tobytes(), 32 * n)
+            else:
+                flags, payload, bits = _payload_for(quantize(cw, st.quantizer), st)
+                expected = Bitstream(n, st.quantizer.bit_width, flags,
+                                     st.digest(), payload, bits)
+            assert serialize_bitstream(stream) == serialize_bitstream(expected)
+            np.testing.assert_array_equal(
+                decode_sample(params, stream, GRID, st),
+                reconstruct(params, decode_codeword(params, stream, st), GRID))
+
+
+@pytest.mark.parametrize("count", [1, 5, 37])
+def test_tiles_give_the_same_arrays_on_any_thread_count(count, tile_threads,
+                                                       monkeypatch):
+    params = make_model()
+    mats = make_matrices(16, count=count)
+    state = fit_codec_state(params, mats, bit_width=4, inner_steps=2)
+    streams = encode_dataset(params, mats, 2, state)
+
+    def run():
+        return (adapt_codewords(params, mats, 2, batch_size=8),
+                decode_matrices(params, streams, GRID, state, batch_size=8))
+
+    parallel = run()
+    monkeypatch.setattr(util, "_cpu_count", lambda: 1)
+    serial = run()
+    monkeypatch.setattr(util, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(util, "_openblas_threads", lambda: None)
+    no_handle = run()
+    for par, ser, fallback in zip(parallel, serial, no_handle):
+        np.testing.assert_array_equal(par, ser)
+        np.testing.assert_array_equal(par, fallback)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_tile_raises_and_restores_blas_threads(tile_threads):
+    params = make_model()
+    mats = make_matrices(17, count=37)
+    before = tile_threads.get()
+    with pytest.raises(TrainingDiverged, match="inner step"):
+        adapt_codewords(params, mats, 3, inner_lr=1e40, batch_size=8)
+    assert tile_threads.get() == before
 
 
 def test_state_table_must_cover_the_alphabet():

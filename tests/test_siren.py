@@ -239,6 +239,16 @@ def test_finite_diff_refuses_a_forward_it_does_not_reproduce(monkeypatch):
                           np.ones((len(COORDS), 2)))
 
 
+def test_finite_diff_refuses_an_exact_fit():
+    # Targets equal to the network's own outputs: loss 0, every analytic
+    # gradient exactly 0, so no block's relative error has a scale.
+    p = f64_params(seed=1)
+    cw = np.random.default_rng(9).normal(size=ARCH.codeword_dim)
+    out, _ = forward(p, cw, COORDS)
+    with pytest.raises(ValueError, match="exact fit"):
+        finite_diff_check(p, cw, COORDS, out.copy())
+
+
 def test_finite_diff_rejects_nonpositive_step():
     p = f64_params()
     with pytest.raises(ValueError):

@@ -85,6 +85,28 @@ def test_inner_adapt_never_mutates_params():
         np.testing.assert_array_equal(block, before[name])
 
 
+def test_inner_adapt_reuses_a_fitting_tape_and_leaves_others_alone():
+    params, feats, targets = make_batch(7, count=3)
+    zero = np.zeros((3, ARCH.codeword_dim), params.fourier.dtype)
+    _, tape = forward_batch(params, zero, feats=feats)
+    post0 = tape.post[0]
+    for seed in (7, 8):
+        _, _, t = make_batch(seed, count=3)
+        fresh = inner_adapt_batch(params, feats, t, 3, 1e-2)
+        reused = inner_adapt_batch(params, feats, t, 3, 1e-2, tape=tape)
+        np.testing.assert_array_equal(reused, fresh)
+    assert tape.post[0] is post0
+    assert tape.codewords.shape == (3, ARCH.codeword_dim) and np.any(tape.codewords)
+
+    _, other = forward_batch(params, zero[:2], feats=feats)
+    kept = [a.copy() for a in other.post]
+    np.testing.assert_array_equal(
+        inner_adapt_batch(params, feats, targets, 3, 1e-2, tape=other),
+        inner_adapt_batch(params, feats, targets, 3, 1e-2))
+    for before, after in zip(kept, other.post):
+        np.testing.assert_array_equal(after, before)
+
+
 def test_outer_step_with_zero_rate_changes_nothing():
     params, feats, targets = make_batch(5)
     cw = inner_adapt_batch(params, feats, targets, 2, 1e-2)
