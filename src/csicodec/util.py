@@ -6,7 +6,12 @@ affinity mask. NumPy's GEMMs, FiLM, sin and cos loops release the
 interpreter lock, so the threads overlap. While it runs, NumPy's bundled
 OpenBLAS is pinned to one thread, set at run time through its exported
 `scipy_openblas_set_num_threads64_`; the caller's count is restored on the
-way out. Restrict the CPUs with `taskset` to use fewer.
+way out. OpenBLAS's own worker threads keep a core busy for ~0.1 s after
+every multi-threaded call before they sleep, so a parallel region stops
+them first (its exported `blas_thread_shutdown_`, which OpenBLAS also runs
+before every fork) and again on the way out; the library starts them anew
+on its next multi-threaded call. Restrict the CPUs with `taskset` to use
+fewer.
 """
 
 from __future__ import annotations
@@ -49,12 +54,18 @@ def config_fingerprint(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _no_workers() -> None:
+    pass
+
+
 @dataclass(frozen=True)
 class _BlasThreads:
-    """Getter and setter of the BLAS library's thread count."""
+    """Getter and setter of the BLAS library's thread count, and a call that
+    stops its idle worker threads until the library next needs them."""
 
     get: Callable[[], int]
     set: Callable[[int], None]
+    stop_workers: Callable[[], None] = _no_workers
 
 
 @cache
@@ -80,7 +91,11 @@ def _openblas_threads() -> _BlasThreads | None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return _BlasThreads(get=get, set=set_)
+        stop = getattr(lib, "blas_thread_shutdown_", None)
+        if stop is None:
+            return _BlasThreads(get=get, set=set_)
+        stop.argtypes, stop.restype = [], ctypes.c_int
+        return _BlasThreads(get=get, set=set_, stop_workers=stop)
     return None
 
 
@@ -103,10 +118,15 @@ def map_tiles(fn: Callable, count: int, tile: int) -> None:
 
     While the call runs, NumPy's OpenBLAS runs one thread per GEMM, so
     concurrent tiles do not contend for the cores; the caller's thread
-    count is restored on the way out, also when fn raises. Inline runs are
-    pinned too: at a tile's few rows a second BLAS thread gains little, and
-    right after a parallel region it is asleep, so the single messages that
-    follow would wait on it (up to twice their time, measured). A raising
+    count is restored on the way out, also when fn raises. A parallel run
+    also stops OpenBLAS's worker threads when it starts and again after the
+    restore (which restarts them): right after a multi-threaded GEMM of the
+    caller they spin for ~0.1 s and take a core from the tiles (a 64-message
+    round ran 30-80% longer, measured). Like a fork, this must not overlap a
+    BLAS call on another thread. Inline runs are pinned too: at a tile's
+    few rows a second BLAS thread gains little, and after a parallel region
+    it has to be started, so the single messages that follow would wait on
+    it (up to twice their time, measured). A raising
     tile stops the tiles not yet started, and its exception is re-raised
     here. Runs inline, in tile order, when there is one tile or one CPU,
     and also without an OpenBLAS thread handle, in which case nothing is
@@ -143,6 +163,7 @@ def map_tiles(fn: Callable, count: int, tile: int) -> None:
         if workers <= 1:
             work()
         else:
+            blas.stop_workers()
             with ThreadPoolExecutor(workers, thread_name_prefix="csicodec-tile") as pool:
                 futures = [pool.submit(work) for _ in range(workers)]
             for future in futures:
@@ -150,3 +171,5 @@ def map_tiles(fn: Callable, count: int, tile: int) -> None:
     finally:
         failed.set()    # an interrupted wait leaves no tile to start
         blas.set(prior)
+        if workers > 1:
+            blas.stop_workers()

@@ -4,6 +4,7 @@ import sys
 import threading
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from csicodec import util
@@ -77,3 +78,42 @@ def test_blas_is_pinned_inside_and_restored_after_every_call(tile_threads):
         map_tiles(boom, 1000, 1)
     assert tile_threads.get() == before
     assert 1 <= len(calls) <= 4     # each worker stops at its first failure
+
+
+def test_parallel_runs_stop_the_blas_workers_before_and_after(monkeypatch):
+    events, count = [], [2]
+
+    def set_(n):
+        events.append(("set", n))
+        count[0] = n
+
+    blas = util._BlasThreads(get=lambda: count[0], set=set_,
+                             stop_workers=lambda: events.append("stop"))
+    monkeypatch.setattr(util, "_openblas_threads", lambda: blas)
+    monkeypatch.setattr(util, "_cpu_count", lambda: 4)
+    tile = lambda start, stop, carry: events.append("tile")
+
+    map_tiles(tile, 8, 2)
+    assert events == [("set", 1), "stop"] + ["tile"] * 4 + [("set", 2), "stop"]
+    events.clear()
+    map_tiles(tile, 2, 2)                   # one tile: inline, nothing stopped
+    assert events == [("set", 1), "tile", ("set", 2)]
+    events.clear()
+
+    def boom(start, stop, carry):
+        raise KeyError(start)
+
+    with pytest.raises(KeyError):
+        map_tiles(boom, 8, 2)
+    assert events[:2] == [("set", 1), "stop"]
+    assert events[-2:] == [("set", 2), "stop"]
+
+
+def test_openblas_threads_work_again_after_a_parallel_run(tile_threads):
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((512, 256)), rng.standard_normal((256, 256))
+    before, prior = a @ b, tile_threads.get()
+    for _ in range(3):
+        map_tiles(lambda start, stop, carry: a[start:stop] @ b, 16, 2)
+        assert tile_threads.get() == prior
+        assert np.array_equal(a @ b, before)
