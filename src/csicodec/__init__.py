@@ -1,21 +1,15 @@
-"""Meta-learned implicit neural codec for MIMO-OFDM CSI feedback."""
+"""Meta-learned implicit neural codec for MIMO-OFDM CSI feedback.
 
-from .channel import (
-    LIGHT_SPEED,
-    PathSet,
-    SystemConfig,
-    channel_element,
-    channel_matrix,
-    channel_vector,
-    half_wavelength_config,
-    steering_vector,
-)
+The root exports the public chain and each file format's save/load pair;
+layer internals stay in their submodules.
+"""
+
+from .channel import SystemConfig, half_wavelength_config
 from .dataset import (
     Dataset,
     SamplingSpec,
     generate_dataset,
     load_dataset,
-    sample_paths,
     save_dataset,
     split_dataset,
 )
@@ -23,39 +17,13 @@ from .model import (
     ArchConfig,
     CoordinateGrid,
     ModelParams,
-    init_params,
     load_checkpoint,
-    reconstruct,
     save_checkpoint,
 )
-from .siren import (
-    ActivationTape,
-    GradientBundle,
-    backward_codeword,
-    backward_params,
-    finite_diff_check,
-    forward,
-    loss_mse,
-)
-from .training import (
-    AdamState,
-    TrainConfig,
-    TrainLog,
-    TrainingDiverged,
-    inner_adapt,
-    outer_step,
-    train,
-)
-from .entropy import (
-    FrequencyTable,
-    entropy_decode,
-    entropy_encode,
-    fit_frequency_table,
-)
+from .training import TrainConfig, TrainingDiverged, TrainLog, train
 from .codec import (
     Bitstream,
     CodecState,
-    QuantizerConfig,
     decode_sample,
     encode_sample,
     fit_codec_state,
@@ -64,15 +32,6 @@ from .codec import (
     save_bitstream,
     save_sidecar,
 )
-from .evaluate import (
-    MetricReport,
-    Rates,
-    SweepSpec,
-    evaluate_model,
-    nmse,
-    rates,
-    rd_sweep,
-    svd_baseline,
-)
+from .evaluate import MetricReport, evaluate_model
 
 __version__ = "0.1.0"

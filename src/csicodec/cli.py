@@ -40,13 +40,12 @@ def _arch_from_args(args) -> ArchConfig:
                       fourier_scale=args.fourier_scale)
 
 
-def _add_arch_flags(p, hidden=512, layers=10, codeword=32, omega0=50.0,
-                    fourier_scale=10.0) -> None:
+def _add_arch_flags(p, hidden=512, layers=10, codeword=32) -> None:
     p.add_argument("--hidden-dim", type=int, default=hidden)
     p.add_argument("--layers", type=int, default=layers)
     p.add_argument("--codeword-dim", type=int, default=codeword)
-    p.add_argument("--omega0", type=float, default=omega0)
-    p.add_argument("--fourier-scale", type=float, default=fourier_scale)
+    p.add_argument("--omega0", type=float, default=50.0)
+    p.add_argument("--fourier-scale", type=float, default=10.0)
 
 
 def _cmd_gen_data(args) -> int:

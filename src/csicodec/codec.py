@@ -25,7 +25,6 @@ output does not depend on the thread count.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,19 +40,25 @@ from .entropy import (
 from .model import CoordinateGrid, ModelParams
 from .siren import ActivationTape, forward_batch, fourier_features
 from .training import inner_adapt_batch
-from .util import map_tiles
-
-STREAM_MAGIC = b"CSIF"
-SIDECAR_MAGIC = b"CSIQ"
-FORMAT_VERSION = 1
-
-# magic, version, codeword_dim, bit_width, flags, reserved, sidecar digest, payload bits
-_STREAM_HEADER = struct.Struct("<4sIIBBH16sI")
-_SIDECAR_HEADER = struct.Struct("<4sIII")
+from .util import BIT_WIDTH, DIM, Container, map_tiles
 
 FLAG_UNQUANTIZED = 0
 FLAG_RAW = 1
 FLAG_ENTROPY = 2
+
+# Sidecar: header, then lower and upper bounds as f64, then the table as u16.
+SIDECAR = Container(
+    "sidecar", b"CSIQ", 1,
+    (("codeword_dim", "I", DIM), ("bit_width", "I", BIT_WIDTH)),
+    lambda f: 16 * f["codeword_dim"] + 2 * (1 << f["bit_width"]))
+# Stream: header, then the payload; the fields are Bitstream's, plus a
+# reserved u16 written as 0. bit_width is 0 for unquantized streams.
+STREAM = Container(
+    "stream", b"CSIF", 1,
+    (("codeword_dim", "I", DIM), ("bit_width", "B", (0, BIT_WIDTH[1])),
+     ("flags", "B", (FLAG_UNQUANTIZED, FLAG_ENTROPY)), ("reserved", "H", None),
+     ("sidecar_digest", "16s", None), ("payload_bits", "I", None)),
+    lambda f: (f["payload_bits"] + 7) // 8)
 
 _NO_DIGEST = bytes(16)
 
@@ -146,8 +151,7 @@ class CodecState:
 
 def sidecar_bytes(state: CodecState) -> bytes:
     q = state.quantizer
-    head = _SIDECAR_HEADER.pack(SIDECAR_MAGIC, FORMAT_VERSION,
-                                q.codeword_dim, q.bit_width)
+    head = SIDECAR.pack(q.codeword_dim, q.bit_width)
     body = (np.ascontiguousarray(q.lower, dtype="<f8").tobytes()
             + np.ascontiguousarray(q.upper, dtype="<f8").tobytes()
             + np.ascontiguousarray(state.table.counts, dtype="<u2").tobytes())
@@ -160,26 +164,16 @@ def save_sidecar(state: CodecState, path) -> None:
 
 
 def load_sidecar(path) -> CodecState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _SIDECAR_HEADER.size:
-        raise ValueError(f"{path}: truncated sidecar header")
-    magic, version, n, b = _SIDECAR_HEADER.unpack_from(blob)
-    if magic != SIDECAR_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported sidecar version {version}")
-    expected = _SIDECAR_HEADER.size + 16 * n + 2 * (1 << b)
-    if len(blob) != expected:
-        raise ValueError(f"{path}: size {len(blob)} != expected {expected}")
-    off = _SIDECAR_HEADER.size
-    lo = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    hi = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    counts = np.frombuffer(blob, dtype="<u2", count=1 << b, offset=off)
-    return CodecState(QuantizerConfig(b, lo, hi),
-                      FrequencyTable(counts.astype(np.int64)))
+    f, body = SIDECAR.load(path)
+    n, b = f["codeword_dim"], f["bit_width"]
+    lo = np.frombuffer(body, dtype="<f8", count=n).copy()
+    hi = np.frombuffer(body, dtype="<f8", count=n, offset=8 * n).copy()
+    counts = np.frombuffer(body, dtype="<u2", count=1 << b, offset=16 * n)
+    try:
+        return CodecState(QuantizerConfig(b, lo, hi),
+                          FrequencyTable(counts.astype(np.int64)))
+    except ValueError as err:   # bounds or table that no fit produces
+        raise ValueError(f"{path}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -214,27 +208,17 @@ def load_bitstream(path) -> Bitstream:
 
 
 def parse_bitstream(blob: bytes, context: str = "bitstream") -> Bitstream:
-    if len(blob) < _STREAM_HEADER.size:
-        raise ValueError(f"{context}: truncated header")
-    magic, version, n, b, flags, _, digest, bits = _STREAM_HEADER.unpack_from(blob)
-    if magic != STREAM_MAGIC:
-        raise ValueError(f"{context}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{context}: unsupported stream version {version}")
-    payload = blob[_STREAM_HEADER.size:]
-    if len(payload) != (bits + 7) // 8:
-        raise ValueError(f"{context}: payload length does not match bit count")
+    f, body = STREAM.unpack(blob, context)
+    payload, bits = bytes(body), f["payload_bits"]
     if bits % 8 and payload and payload[-1] & ((1 << (8 - bits % 8)) - 1):
         raise ValueError(f"{context}: nonzero padding bits")
-    return Bitstream(codeword_dim=n, bit_width=b, flags=flags,
-                     sidecar_digest=digest, payload=payload, payload_bits=bits)
+    del f["reserved"]
+    return Bitstream(payload=payload, **f)
 
 
 def serialize_bitstream(stream: Bitstream) -> bytes:
-    header = _STREAM_HEADER.pack(STREAM_MAGIC, FORMAT_VERSION,
-                                 stream.codeword_dim, stream.bit_width,
-                                 stream.flags, 0, stream.sidecar_digest,
-                                 stream.payload_bits)
+    header = STREAM.pack(stream.codeword_dim, stream.bit_width, stream.flags, 0,
+                         stream.sidecar_digest, stream.payload_bits)
     return header + stream.payload
 
 

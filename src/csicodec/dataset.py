@@ -6,23 +6,25 @@ across the whole dataset is 1, and stored as paired float32 planes. Each
 sample uses its own seed-derived random stream, so generation order (serial
 or parallel) cannot change the result.
 
-File layout (little-endian): magic "CSID", version u32, num_antennas u32,
-num_subcarriers u32, count u32, norm_scale f64, seed u64, then count
-matrices as row-major interleaved (re, im) float32.
+File layout (a util.Container, little-endian): magic "CSID", version u32,
+num_antennas u32, num_subcarriers u32, count u32, norm_scale f64, seed u64,
+then count matrices as row-major interleaved (re, im) float32.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import PathSet, SystemConfig, channel_matrix
+from .util import DIM, POSITIVE, Container
 
-MAGIC = b"CSID"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIdQ")
+FORMAT = Container(
+    "dataset", b"CSID", 1,
+    (("num_antennas", "I", DIM), ("num_subcarriers", "I", DIM),
+     ("count", "I", None), ("norm_scale", "d", POSITIVE), ("seed", "Q", None)),
+    lambda f: 8 * f["count"] * f["num_antennas"] * f["num_subcarriers"])
 
 
 @dataclass(frozen=True)
@@ -131,32 +133,19 @@ def generate_dataset(count: int, seed: int, cfg: SystemConfig,
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, ds.num_antennas,
-                          ds.num_subcarriers, len(ds), ds.norm_scale, ds.seed)
+    header = FORMAT.pack(ds.num_antennas, ds.num_subcarriers, len(ds),
+                         ds.norm_scale, ds.seed)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ds.planes, dtype="<f4").tobytes())
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{path}: truncated dataset header")
-    magic, version, n_ant, n_sub, count, norm_scale, seed = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {version}")
-    expected = _HEADER.size + count * n_ant * n_sub * 2 * 4
-    if len(blob) != expected:
-        raise ValueError(f"{path}: size {len(blob)} != expected {expected}")
-    planes = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(
-        count, n_ant, n_sub, 2).copy()
-    if not (np.isfinite(norm_scale) and norm_scale > 0):
-        raise ValueError(f"{path}: norm_scale {norm_scale!r} is not a positive number")
+    f, body = FORMAT.load(path)
+    planes = np.frombuffer(body, dtype="<f4").reshape(
+        f["count"], f["num_antennas"], f["num_subcarriers"], 2).copy()
     if not np.all(np.isfinite(planes)):
         raise ValueError(f"{path}: non-finite sample values")
     # The file format carries only grid shape, not carrier frequencies, so a
     # loaded dataset has cfg=None. Training and evaluation never need more.
-    return Dataset(planes=planes, norm_scale=norm_scale, seed=seed)
+    return Dataset(planes=planes, norm_scale=f["norm_scale"], seed=f["seed"])

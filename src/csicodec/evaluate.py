@@ -241,12 +241,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report_csv(rows, path, columns=SWEEP_COLUMNS) -> None:
+def write_report_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
 
 
 def read_report_csv(path):

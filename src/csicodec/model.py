@@ -8,21 +8,19 @@ layer's pre-activation (FiLM style) so a single shared base network can
 represent many different channel matrices.
 
 This module owns the parameter container, initialization, the coordinate
-grid convention, reconstruction, and the checkpoint file format. The
-forward/backward math lives in `siren`.
+grid convention, and the checkpoint file format. The forward/backward math
+lives in `siren`; decoding codewords to channel matrices is
+`codec.decode_matrices`.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-MAGIC = b"CSIN"
-FORMAT_VERSION = 1
-# magic, version, hidden_dim, num_layers, codeword_dim, omega0, fourier_scale, norm_scale
-_HEADER = struct.Struct("<4sIIIIddd")
+from .util import DIM, POSITIVE, Container
 
 # Modulation maps get a small random init (see init_params); this is the scale.
 DEFAULT_MOD_SCALE = 0.1
@@ -47,12 +45,27 @@ class ArchConfig:
     def __post_init__(self):
         if self.hidden_dim < 1 or self.num_layers < 1 or self.codeword_dim < 1:
             raise ValueError("hidden_dim, num_layers, codeword_dim must be >= 1")
-        if self.omega0 <= 0 or self.fourier_scale <= 0:
-            raise ValueError("omega0 and fourier_scale must be positive")
+        if not (0 < self.omega0 < math.inf and 0 < self.fourier_scale < math.inf):
+            raise ValueError("omega0 and fourier_scale must be positive and finite")
 
-    def layer_in_dim(self, i: int) -> int:
-        """Input width of 1-based layer i (layer 1 reads the Fourier features)."""
-        return 2 * self.hidden_dim if i == 1 else self.hidden_dim
+    def block_shapes(self) -> dict:
+        """Shape of every parameter block: "fourier", then the
+        trainable_blocks() names in their order (the checkpoint's order)."""
+        d, n = self.hidden_dim, self.codeword_dim
+        shapes = {"fourier": (d, 2)}
+        for k in range(1, self.num_layers + 1):
+            # layer 1 reads the 2*d_h Fourier features
+            shapes.update({f"w{k}": (d, 2 * d if k == 1 else d), f"b{k}": (d,),
+                           f"scale_w{k}": (d, n), f"scale_b{k}": (d,),
+                           f"shift_w{k}": (d, n), f"shift_b{k}": (d,)})
+        shapes.update(out_w=(2, d), out_b=(2,))
+        return shapes
+
+    def param_count(self) -> int:
+        """Scalars in all blocks, the fixed Fourier matrix included; closed
+        form, so a checkpoint header can be sized without building blocks."""
+        d, n, L = self.hidden_dim, self.codeword_dim, self.num_layers
+        return (L + 1) * d * d + L * (3 * d + 2 * d * n) + 4 * d + 2
 
 
 @dataclass(frozen=True)
@@ -79,25 +92,13 @@ class ModelParams:
 
     def __post_init__(self):
         a = self.arch
-        d, n = a.hidden_dim, a.codeword_dim
-        if self.fourier.shape != (d, 2):
-            raise ValueError(f"fourier matrix must be ({d}, 2)")
         for t in ("layer_w", "layer_b", "scale_w", "scale_b", "shift_w", "shift_b"):
             if len(getattr(self, t)) != a.num_layers:
                 raise ValueError(f"{t} must have {a.num_layers} entries")
-        for i in range(a.num_layers):
-            if self.layer_w[i].shape != (d, a.layer_in_dim(i + 1)):
-                raise ValueError(f"layer_w[{i}] has wrong shape")
-            if self.layer_b[i].shape != (d,):
-                raise ValueError(f"layer_b[{i}] has wrong shape")
-            for t in ("scale_w", "shift_w"):
-                if getattr(self, t)[i].shape != (d, n):
-                    raise ValueError(f"{t}[{i}] has wrong shape")
-            for t in ("scale_b", "shift_b"):
-                if getattr(self, t)[i].shape != (d,):
-                    raise ValueError(f"{t}[{i}] has wrong shape")
-        if self.out_w.shape != (2, d) or self.out_b.shape != (2,):
-            raise ValueError("output layer has wrong shape")
+        blocks = {"fourier": self.fourier, **self.trainable_blocks()}
+        for name, shape in a.block_shapes().items():
+            if blocks[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
         if not (self.norm_scale > 0 and np.isfinite(self.norm_scale)):
             raise ValueError("norm_scale must be positive and finite")
 
@@ -116,40 +117,28 @@ class ModelParams:
         blocks["out_b"] = self.out_b
         return blocks
 
+    @classmethod
+    def from_blocks(cls, arch: ArchConfig, blocks: dict,
+                    norm_scale: float) -> "ModelParams":
+        """ModelParams from named blocks: "fourier" plus every
+        trainable_blocks() name."""
+        layers = lambda name: tuple(blocks[f"{name}{k}"]
+                                    for k in range(1, arch.num_layers + 1))
+        return cls(arch, blocks["fourier"], layers("w"), layers("b"),
+                   layers("scale_w"), layers("scale_b"), layers("shift_w"),
+                   layers("shift_b"), blocks["out_w"], blocks["out_b"], norm_scale)
+
     def with_blocks(self, blocks: dict) -> "ModelParams":
         """New ModelParams with trainable arrays replaced by `blocks`."""
-        L = self.arch.num_layers
-        return replace(
-            self,
-            layer_w=tuple(blocks[f"w{k}"] for k in range(1, L + 1)),
-            layer_b=tuple(blocks[f"b{k}"] for k in range(1, L + 1)),
-            scale_w=tuple(blocks[f"scale_w{k}"] for k in range(1, L + 1)),
-            scale_b=tuple(blocks[f"scale_b{k}"] for k in range(1, L + 1)),
-            shift_w=tuple(blocks[f"shift_w{k}"] for k in range(1, L + 1)),
-            shift_b=tuple(blocks[f"shift_b{k}"] for k in range(1, L + 1)),
-            out_w=blocks["out_w"],
-            out_b=blocks["out_b"],
-        )
+        return self.from_blocks(self.arch, {"fourier": self.fourier, **blocks},
+                                self.norm_scale)
 
     def cast(self, dtype) -> "ModelParams":
         """Copy with every array cast to dtype (float64 for verification)."""
-        cast1 = lambda a: np.asarray(a, dtype=dtype).copy()
-        castn = lambda t: tuple(cast1(a) for a in t)
-        return replace(
-            self,
-            fourier=cast1(self.fourier),
-            layer_w=castn(self.layer_w), layer_b=castn(self.layer_b),
-            scale_w=castn(self.scale_w), scale_b=castn(self.scale_b),
-            shift_w=castn(self.shift_w), shift_b=castn(self.shift_b),
-            out_w=cast1(self.out_w), out_b=cast1(self.out_b),
-        )
-
-    def param_count(self) -> int:
-        """Total scalar count including the fixed Fourier matrix."""
-        total = self.fourier.size
-        for arr in self.trainable_blocks().values():
-            total += arr.size
-        return total
+        blocks = {"fourier": self.fourier, **self.trainable_blocks()}
+        return self.from_blocks(self.arch, {k: np.asarray(v, dtype=dtype).copy()
+                                            for k, v in blocks.items()},
+                                self.norm_scale)
 
 
 def init_params(seed: int, arch: ArchConfig,
@@ -177,8 +166,8 @@ def init_params(seed: int, arch: ArchConfig,
     deep = np.sqrt(6.0 / d) / a.omega0
     layer_w = []
     for i in range(1, L + 1):
-        bound = 1.0 / a.layer_in_dim(i) if i == 1 else deep
-        layer_w.append(f32(rng.uniform(-bound, bound, (d, a.layer_in_dim(i)))))
+        bound = 1.0 / (2 * d) if i == 1 else deep
+        layer_w.append(f32(rng.uniform(-bound, bound, a.block_shapes()[f"w{i}"])))
     out_w = f32(rng.uniform(-deep, deep, (2, d)))
     scale_w = [f32(rng.uniform(-mod_scale, mod_scale, (d, n))) for _ in range(L)]
     shift_w = [f32(rng.uniform(-mod_scale, mod_scale, (d, n))) for _ in range(L)]
@@ -243,64 +232,42 @@ class CoordinateGrid:
         return out
 
 
-def reconstruct(params: ModelParams, codeword: np.ndarray,
-                grid: CoordinateGrid, s_norm: float | None = None) -> np.ndarray:
-    """Decode a codeword into a complex channel matrix.
-
-    Runs the network over the full grid, pairs the two outputs into complex
-    entries, and multiplies by the normalization scale (params.norm_scale
-    unless overridden) to return to the original domain.
-    """
-    from .siren import forward
-
-    preds, _ = forward(params, codeword, grid.flat_coords())
-    scale = params.norm_scale if s_norm is None else s_norm
-    re = preds[:, 0].astype(np.float64).reshape(grid.num_rows, grid.num_cols)
-    im = preds[:, 1].astype(np.float64).reshape(grid.num_rows, grid.num_cols)
-    return (re + 1j * im) * scale
+def _arch_of(fields: dict) -> ArchConfig:
+    return ArchConfig(fields["hidden_dim"], fields["num_layers"],
+                      fields["codeword_dim"], fields["omega0"],
+                      fields["fourier_scale"])
 
 
-def _file_blocks(params: ModelParams):
-    yield "fourier", params.fourier
-    yield from params.trainable_blocks().items()
+# The checkpoint: header, then every block of ArchConfig.block_shapes() as f32.
+FORMAT = Container(
+    "checkpoint", b"CSIN", 1,
+    (("hidden_dim", "I", DIM), ("num_layers", "I", DIM), ("codeword_dim", "I", DIM),
+     ("omega0", "d", POSITIVE), ("fourier_scale", "d", POSITIVE),
+     ("norm_scale", "d", POSITIVE)),
+    lambda f: 4 * _arch_of(f).param_count())
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Versioned little-endian binary: header, then parameter blocks as f32."""
     a = params.arch
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, a.hidden_dim, a.num_layers,
-                          a.codeword_dim, a.omega0, a.fourier_scale,
-                          params.norm_scale)
+    header = FORMAT.pack(a.hidden_dim, a.num_layers, a.codeword_dim, a.omega0,
+                         a.fourier_scale, params.norm_scale)
     with open(path, "wb") as fh:
         fh.write(header)
-        for _, arr in _file_blocks(params):
+        for arr in (params.fourier, *params.trainable_blocks().values()):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    magic, version, d, L, n, omega0, fscale, norm_scale = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    arch = ArchConfig(hidden_dim=d, num_layers=L, codeword_dim=n,
-                      omega0=omega0, fourier_scale=fscale)
-    ref = init_params(0, arch)
-    expected = _HEADER.size + 4 * ref.param_count()
-    if len(blob) != expected:
-        raise ValueError(f"{path}: size {len(blob)} != expected {expected}")
-    offset = _HEADER.size
+    f, body = FORMAT.load(path)
+    arch = _arch_of(f)
+    offset = 0
     loaded = {}
-    for name, arr in _file_blocks(ref):
-        block = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=offset)
-        loaded[name] = block.reshape(arr.shape).copy()
-        offset += 4 * arr.size
+    for name, shape in arch.block_shapes().items():
+        size = math.prod(shape)
+        loaded[name] = np.frombuffer(body, dtype="<f4", count=size,
+                                     offset=offset).reshape(shape).copy()
+        offset += 4 * size
         if not np.all(np.isfinite(loaded[name])):
             raise ValueError(f"{path}: non-finite values in block {name}")
-    fourier = loaded.pop("fourier")
-    return replace(ref.with_blocks(loaded), fourier=fourier,
-                   norm_scale=norm_scale)
+    return ModelParams.from_blocks(arch, loaded, f["norm_scale"])

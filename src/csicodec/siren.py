@@ -7,7 +7,7 @@ layer's pre-activation, its phase z = omega0 * (gamma * e + eta) and its
 activation sin(z) are cached on a tape; the backward walk consumes the tape
 and emits gradients for the codeword and for every trainable parameter
 block. `cos(z)` is taken in backward, only where it is used, so paths that
-never run backward (decoding, reconstruction, validation) never pay for it.
+never run backward (decoding, validation) never pay for it.
 The fixed Fourier matrix gets no gradient. A central finite-difference
 checker validates every block: it moves many scalars of one block at once,
 as stacked copies of that block, through a private loss-only float64 pass
@@ -24,10 +24,9 @@ never writes to the forward arrays, so it can run twice on one tape.
 Every operation keeps the operand order and dtype of the out-of-place
 formulas, so results are bit-identical to them.
 
-Everything here is batch-first internally: codewords are (B, n), targets
-(B, C, 2). The per-sample wrappers `forward`, `backward_codeword`, and
-`backward_params` present the single-sample view. Arithmetic runs in the
-dtype of the parameters (float32 in training, float64 for verification);
+Everything here is batch-first: codewords are (B, n), targets (B, C, 2),
+and a single sample is a batch of one. Arithmetic runs in the dtype of the
+parameters (float32 in training, float64 for verification);
 loss values are always reduced in float64.
 """
 
@@ -77,15 +76,6 @@ class ActivationTape:
                 and self.post[0].shape == (B, C, d))
 
 
-@dataclass
-class GradientBundle:
-    """Per-sample gradients: loss, d/d codeword, and optionally d/d params."""
-
-    loss: float
-    grad_codeword: np.ndarray
-    grad_params: dict | None = None
-
-
 def fourier_features(params: ModelParams, coords: np.ndarray) -> np.ndarray:
     """Lift coordinates through the fixed Fourier matrix: [cos(2piBx); sin(2piBx)].
 
@@ -100,16 +90,14 @@ def fourier_features(params: ModelParams, coords: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(params: ModelParams, codewords: np.ndarray,
-                  coords: np.ndarray | None = None,
-                  feats: np.ndarray | None = None,
-                  tape: ActivationTape | None = None):
+                  feats: np.ndarray, tape: ActivationTape | None = None):
     """Evaluate the network for a batch of codewords over one coordinate set.
 
     Returns (outputs, tape) with outputs (B, C, 2), a view of the tape.
-    Exactly one of coords or feats (precomputed fourier_features) must be
-    given. A tape from an earlier call with the same batch size, coordinate
-    count, width and dtype is overwritten in place and returned; any other
-    tape is left alone and a fresh one allocated.
+    feats is the coordinate set's fourier_features, (C, 2*d_h). A tape from
+    an earlier call with the same batch size, coordinate count, width and
+    dtype is overwritten in place and returned; any other tape is left alone
+    and a fresh one allocated.
     """
     a = params.arch
     dt = params.fourier.dtype
@@ -117,21 +105,18 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     cw = np.asarray(codewords, dtype=dt)
     if cw.ndim != 2 or cw.shape[1] != a.codeword_dim:
         raise ValueError(f"codewords must have shape (batch, {a.codeword_dim})")
-    if (coords is None) == (feats is None):
-        raise ValueError("pass exactly one of coords or feats")
-    F0 = fourier_features(params, coords) if feats is None else feats
-    if F0.shape[1] != 2 * a.hidden_dim or F0.dtype != dt:
+    if feats.shape[1] != 2 * a.hidden_dim or feats.dtype != dt:
         raise ValueError("feature matrix does not match the model")
 
-    B, C, d, L = cw.shape[0], F0.shape[0], a.hidden_dim, a.num_layers
+    B, C, d, L = cw.shape[0], feats.shape[0], a.hidden_dim, a.num_layers
     if tape is None or not tape.fits(B, C, d, L, dt):
         tape = ActivationTape.empty(B, C, d, L, dt)
     tape.codewords = cw
-    tape.fourier_features = F0
+    tape.fourier_features = feats
     tape.gammas = [cw @ params.scale_w[i].T + params.scale_b[i] for i in range(L)]
     tape.etas = [cw @ params.shift_w[i].T + params.shift_b[i] for i in range(L)]
 
-    np.matmul(F0, params.layer_w[0].T, out=tape.first_pre)
+    np.matmul(feats, params.layer_w[0].T, out=tape.first_pre)
     tape.first_pre += params.layer_b[0]
     for i in range(L):
         if i == 0:
@@ -150,15 +135,6 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
               out=tape.outputs.reshape(B * C, 2))
     tape.outputs += params.out_b
     return tape.outputs, tape
-
-
-def forward(params: ModelParams, codeword: np.ndarray, coords: np.ndarray):
-    """Single-sample forward: returns (predictions (C, 2), tape)."""
-    cw = np.asarray(codeword)
-    if cw.ndim != 1:
-        raise ValueError("codeword must be one-dimensional")
-    outputs, tape = forward_batch(params, cw[None, :], coords=coords)
-    return outputs[0], tape
 
 
 def loss_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -238,32 +214,6 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
     if need_params:
         grads = {k: grads[k] for k in params.trainable_blocks()}
     return per_sample, grad_cw, grads
-
-
-def _single(tape: ActivationTape, targets: np.ndarray) -> np.ndarray:
-    if tape.outputs.shape[0] != 1:
-        raise ValueError("per-sample backward expects a batch-1 tape")
-    t = np.asarray(targets)
-    if t.shape != tape.outputs.shape[1:]:
-        raise ValueError("targets do not match the tape")
-    return t[None, :, :]
-
-
-def backward_codeword(tape: ActivationTape, params: ModelParams,
-                      targets: np.ndarray) -> GradientBundle:
-    """Gradient of the sample loss with respect to the codeword only."""
-    per_sample, grad_cw, _ = backward_batch(tape, params, _single(tape, targets),
-                                            need_params=False)
-    return GradientBundle(loss=float(per_sample[0]), grad_codeword=grad_cw[0])
-
-
-def backward_params(tape: ActivationTape, params: ModelParams,
-                    targets: np.ndarray) -> GradientBundle:
-    """Gradients for every trainable block (and the codeword, since it is free)."""
-    per_sample, grad_cw, grads = backward_batch(tape, params, _single(tape, targets),
-                                                need_params=True)
-    return GradientBundle(loss=float(per_sample[0]), grad_codeword=grad_cw[0],
-                          grad_params=grads)
 
 
 def _stacked_losses(params: ModelParams, blocks: dict, feats: np.ndarray,

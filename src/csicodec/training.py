@@ -1,12 +1,12 @@
-"""Meta-training: per-sample inner-loop codeword descent, batched outer-loop
+"""Meta-training: batched inner-loop codeword descent, batched outer-loop
 base-network updates, validation-driven early stopping.
 
-The inner loop runs a few plain gradient steps on the codeword, always from
-zero, with the base network frozen. The outer loop holds the adapted
-codewords fixed (first order, no differentiation through the inner
-trajectory) and applies one Adam update to the base network from the sum of
-per-sample gradients. Inner and outer updates therefore never touch each
-other's variables.
+The inner loop (inner_adapt_batch, the one adapter; the codec calls it too)
+runs a few plain gradient steps on each codeword from zero with the base
+network frozen. The outer loop holds the adapted codewords fixed (first
+order, no differentiation through the inner trajectory) and applies one
+Adam update to the base network from the sum of per-sample gradients, so
+inner and outer updates never touch each other's variables.
 
 Everything is deterministic given the seed: initialization, epoch shuffles,
 and Adam state evolve from fixed streams with no hidden global RNG.
@@ -37,7 +37,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 8
     seed: int = 0
-    grad_clip: float | None = None       # optional global-norm clip, off by default
     mod_scale: float = DEFAULT_MOD_SCALE  # init scale of the codeword-to-modulation maps
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class TrainConfig:
             raise ValueError("learning rates must be positive (outer may be 0)")
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
             raise ValueError("batch_size, patience must be >= 1; max_epochs >= 0")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive when set")
 
 
 @dataclass
@@ -107,15 +104,6 @@ def read_train_log(path) -> TrainLog:
     return log
 
 
-def _as_planes(target: np.ndarray) -> np.ndarray:
-    t = np.asarray(target)
-    if np.iscomplexobj(t):
-        return np.stack([t.real.ravel(), t.imag.ravel()], axis=-1)
-    if t.ndim != 2 or t.shape[-1] != 2:
-        raise ValueError("target must be complex (rows, cols) or planes (count, 2)")
-    return t
-
-
 def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
                       targets: np.ndarray, steps: int, lr: float,
                       tape: ActivationTape | None = None) -> np.ndarray:
@@ -142,23 +130,8 @@ def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
     return cw
 
 
-def inner_adapt(params: ModelParams, grid: CoordinateGrid, target: np.ndarray,
-                steps: int, lr: float) -> np.ndarray:
-    """Single-sample wrapper around inner_adapt_batch.
-
-    target is either a complex (rows, cols) matrix matching the grid or its
-    flattened (count, 2) real planes, in the training-normalized domain.
-    """
-    planes = _as_planes(target).astype(params.fourier.dtype)
-    if planes.shape[0] != len(grid):
-        raise ValueError("target does not match the grid")
-    feats = fourier_features(params, grid.flat_coords())
-    return inner_adapt_batch(params, feats, planes[None, :, :], steps, lr)[0]
-
-
 def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
-               targets: np.ndarray, codewords: np.ndarray, lr: float,
-               grad_clip: float | None = None):
+               targets: np.ndarray, codewords: np.ndarray, lr: float):
     """One Adam update of the base network with codewords held fixed.
 
     The gradient is the sum over the batch of per-sample loss gradients.
@@ -171,12 +144,6 @@ def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"outer step: non-finite gradient in {name}")
-    if grad_clip is not None:
-        norm = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
-                           for g in grads.values()))
-        if norm > grad_clip:
-            factor = grad_clip / norm
-            grads = {k: g * factor for k, g in grads.items()}
 
     adam.step += 1
     bc1 = 1.0 - adam.beta1 ** adam.step
@@ -273,7 +240,7 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
                 cw = inner_adapt_batch(params, feats, batch,
                                        cfg.inner_steps, cfg.inner_lr)
                 params, loss = outer_step(params, adam, feats, batch, cw,
-                                          cfg.outer_lr, cfg.grad_clip)
+                                          cfg.outer_lr)
             except TrainingDiverged as err:
                 raise TrainingDiverged(
                     f"epoch {epoch}, outer step {step + 1}: {err}") from err

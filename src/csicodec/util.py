@@ -1,4 +1,5 @@
-"""Small shared helpers: the config fingerprint and the tile-parallel map.
+"""Small shared helpers: the config fingerprint, the binary container
+layout shared by the four file formats, and the tile-parallel map.
 
 `map_tiles` runs independent per-sample work (codeword adaptation,
 decoding) over tiles of a stack, one thread per CPU in the process's
@@ -19,7 +20,10 @@ from __future__ import annotations
 import ctypes
 import glob
 import hashlib
+import math
 import os
+import struct
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +56,67 @@ def config_fingerprint(config: dict) -> str:
         parts.append(f"{key}={text}")
     blob = "\n".join(parts).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
+
+
+# Inclusive ranges of container header fields.
+DIM = (1, 0xFFFFFFFF)                              # a u32 size: at least 1
+BIT_WIDTH = (1, 16)                                # quantizer bits per symbol
+POSITIVE = (math.ulp(0.0), sys.float_info.max)     # an f64: finite and > 0
+
+
+class Container:
+    """A versioned little-endian file layout: 4-byte magic, u32 version, a
+    fixed header of named fields, then a body whose exact byte count follows
+    from them. `fields` lists (name, struct code, inclusive (low, high) range
+    or None) in file order; `body_size` maps the fields (a dict) to bytes.
+    """
+
+    def __init__(self, kind: str, magic: bytes, version: int, fields: tuple,
+                 body_size: Callable[[dict], int]):
+        self.kind = kind
+        self.magic = magic
+        self.version = version
+        self.fields = fields
+        self.header = struct.Struct("<4sI" + "".join(code for _, code, _ in fields))
+        self.body_size = body_size
+
+    def pack(self, *values) -> bytes:
+        """Header bytes for these field values, given in file order."""
+        return self.header.pack(self.magic, self.version, *values)
+
+    def unpack(self, blob: bytes, context: str) -> tuple[dict, memoryview]:
+        """Check a whole file and split it into (header fields, body).
+
+        Checks magic, version, every field's range, then the exact size,
+        computed from the fields alone, so nothing is allocated for a body
+        before its header holds. Raises ValueError starting with `context`.
+        """
+        if bytes(blob[:4]) != self.magic:
+            raise ValueError(f"{context}: bad magic {bytes(blob[:4])!r}, "
+                             f"expected {self.magic!r}")
+        if len(blob) < self.header.size:
+            raise ValueError(f"{context}: truncated {self.kind} header")
+        _, version, *values = self.header.unpack_from(blob)
+        if version != self.version:
+            raise ValueError(f"{context}: unsupported {self.kind} version {version}")
+        fields = {}
+        for (name, _, bounds), value in zip(self.fields, values):
+            if bounds is not None and not bounds[0] <= value <= bounds[1]:
+                raise ValueError(f"{context}: {name} {value!r} is outside "
+                                 f"[{bounds[0]!r}, {bounds[1]!r}]")
+            fields[name] = value
+        expected = self.body_size(fields)
+        body = memoryview(blob)[self.header.size:]
+        if len(body) != expected:
+            raise ValueError(f"{context}: {self.kind} payload length {len(body)} "
+                             f"does not match the {expected} bytes its header gives")
+        return fields, body
+
+    def load(self, path) -> tuple[dict, memoryview]:
+        """Read and unpack one file; errors name the path."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return self.unpack(blob, str(path))
 
 
 def _no_workers() -> None:

@@ -1,5 +1,6 @@
 """End-to-end smoke of every CLI subcommand at toy scale."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,23 @@ def test_decode_without_sidecar_fails_cleanly(workspace, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "sidecar" in captured.err
+
+
+def test_decode_with_a_non_finite_checkpoint_fails_cleanly(workspace, capsys):
+    root = workspace["root"]
+    stream = root / "s2.csibit"
+    main(["encode", "--checkpoint", str(workspace["ckpt"]),
+          "--dataset", str(workspace["ds"]), "--out", str(stream),
+          "--inner-steps", "2"])
+    blob = bytearray(workspace["ckpt"].read_bytes())
+    blob[20:28] = struct.pack("<d", float("nan"))     # omega0
+    bad = root / "nan-omega0.ckpt"
+    bad.write_bytes(bytes(blob))
+    rc = main(["decode", "--checkpoint", str(bad), "--stream", str(stream),
+               "--out", str(root / "y.npy"), "--rows", "4", "--cols", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: {bad}: omega0 nan")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -30,7 +30,8 @@ from csicodec.codec import (
     serialize_bitstream,
 )
 from csicodec.entropy import FrequencyTable
-from csicodec.model import ArchConfig, CoordinateGrid, init_params, reconstruct
+from csicodec.model import ArchConfig, CoordinateGrid, init_params
+from csicodec.siren import forward_batch, fourier_features
 from csicodec.training import TrainingDiverged
 
 ARCH = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
@@ -46,6 +47,15 @@ def make_matrices(seed, count=6):
     rng = np.random.default_rng(seed)
     return (rng.normal(size=(count, 4, 4))
             + 1j * rng.normal(size=(count, 4, 4)))
+
+
+def reconstruct(params, codeword, grid):
+    """Reference decoder for one codeword: a batch-of-one forward, rescaled."""
+    out, _ = forward_batch(params, np.asarray(codeword)[None],
+                           feats=fourier_features(params, grid.flat_coords()))
+    re, im = (out[0, :, k].astype(np.float64).reshape(grid.num_rows, grid.num_cols)
+              for k in (0, 1))
+    return (re + 1j * im) * params.norm_scale
 
 
 def simple_quantizer(bit_width=3):

@@ -5,13 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from csicodec.codec import FLAG_UNQUANTIZED, Bitstream, decode_matrices
 from csicodec.model import (
     ArchConfig,
     CoordinateGrid,
     ModelParams,
     init_params,
     load_checkpoint,
-    reconstruct,
     save_checkpoint,
 )
 
@@ -26,6 +26,11 @@ def test_arch_validation():
         ArchConfig(num_layers=0)
     with pytest.raises(ValueError):
         ArchConfig(omega0=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ArchConfig(omega0=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ArchConfig(fourier_scale=bad)
 
 
 def test_grid_coords_cover_unit_square():
@@ -84,9 +89,10 @@ def test_modulation_identity_at_zero_codeword():
 
 
 def test_param_count_matches_block_sizes():
-    p = init_params(0, ARCH)
-    total = p.fourier.size + sum(b.size for b in p.trainable_blocks().values())
-    assert p.param_count() == total
+    for arch in (ARCH, ArchConfig(hidden_dim=5, num_layers=1, codeword_dim=2)):
+        p = init_params(0, arch)
+        total = p.fourier.size + sum(b.size for b in p.trainable_blocks().values())
+        assert arch.param_count() == total
 
 
 def test_with_blocks_is_functional():
@@ -116,7 +122,7 @@ def test_checkpoint_size_is_header_plus_floats(tmp_path):
     path = tmp_path / "m.csin"
     save_checkpoint(p, path)
     header = 4 + 4 * 4 + 3 * 8            # magic, four u32 fields, three f64
-    assert path.stat().st_size == header + 4 * p.param_count()
+    assert path.stat().st_size == header + 4 * p.arch.param_count()
 
 
 def test_checkpoint_rejects_truncation_and_bad_magic(tmp_path):
@@ -136,12 +142,14 @@ def test_checkpoint_rejects_truncation_and_bad_magic(tmp_path):
         load_checkpoint(wrong)
 
 
-def test_reconstruct_shape_and_scaling():
+def test_decoded_matrix_shape_and_scaling():
     p = dataclasses.replace(init_params(0, ARCH), norm_scale=2.0)
     grid = CoordinateGrid(5, 6)
-    cw = np.zeros(ARCH.codeword_dim)
-    h = reconstruct(p, cw, grid)
+    n = ARCH.codeword_dim
+    stream = Bitstream(n, 0, FLAG_UNQUANTIZED, bytes(16), bytes(4 * n), 32 * n)
+    h = decode_matrices(p, [stream], grid)[0]
     assert h.shape == (5, 6)
     assert h.dtype == np.complex128
-    np.testing.assert_allclose(reconstruct(p, cw, grid, s_norm=4.0), 2.0 * h,
+    p4 = dataclasses.replace(p, norm_scale=4.0)
+    np.testing.assert_allclose(decode_matrices(p4, [stream], grid)[0], 2.0 * h,
                                rtol=1e-6)

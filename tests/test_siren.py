@@ -10,10 +10,7 @@ from csicodec import siren
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
 from csicodec.siren import (
     backward_batch,
-    backward_codeword,
-    backward_params,
     finite_diff_check,
-    forward,
     forward_batch,
     fourier_features,
     loss_mse,
@@ -64,9 +61,10 @@ def test_single_neuron_network_matches_hand_computation():
     act = math.sin(2.0 * u)
     expected = (1.5 * act + 0.05, -2.5 * act - 0.05)
 
-    out, _ = forward(p, np.array([m]), np.array([[x, y]]))
-    assert out[0, 0] == pytest.approx(expected[0], abs=1e-12)
-    assert out[0, 1] == pytest.approx(expected[1], abs=1e-12)
+    out, _ = forward_batch(p, np.array([[m]]),
+                           feats=fourier_features(p, np.array([[x, y]])))
+    assert out[0, 0, 0] == pytest.approx(expected[0], abs=1e-12)
+    assert out[0, 0, 1] == pytest.approx(expected[1], abs=1e-12)
 
 
 def test_zero_codeword_equals_unmodulated_network():
@@ -101,12 +99,12 @@ def test_loss_matches_loop_oracle():
 
 def test_perfect_fit_has_zero_gradients():
     p = f64_params()
-    cw = np.full(ARCH.codeword_dim, 0.3)
-    out, tape = forward(p, cw, COORDS)
-    g = backward_params(tape, p, out.copy())
-    assert g.loss == 0.0
-    assert np.all(g.grad_codeword == 0.0)
-    for name, block in g.grad_params.items():
+    cw = np.full((1, ARCH.codeword_dim), 0.3)
+    out, tape = forward_batch(p, cw, feats=fourier_features(p, COORDS))
+    loss, grad_cw, grads = backward_batch(tape, p, out.copy(), need_params=True)
+    assert loss[0] == 0.0
+    assert np.all(grad_cw == 0.0)
+    for name, block in grads.items():
         assert np.all(block == 0.0), name
 
 
@@ -123,13 +121,13 @@ def test_batch_gradient_is_sum_of_per_sample_gradients():
 
     summed = {name: np.zeros_like(block) for name, block in grads.items()}
     for i in range(3):
-        _, t = forward(p, cws[i], COORDS)
-        g = backward_params(t, p, targets[i])
-        assert g.loss == pytest.approx(float(per_sample[i]), rel=1e-12)
-        np.testing.assert_allclose(g.grad_codeword, grad_cw[i], rtol=1e-10,
+        _, t = forward_batch(p, cws[i:i + 1], feats=feats)
+        loss, g_cw, g = backward_batch(t, p, targets[i:i + 1], need_params=True)
+        assert loss[0] == pytest.approx(float(per_sample[i]), rel=1e-12)
+        np.testing.assert_allclose(g_cw[0], grad_cw[i], rtol=1e-10,
                                    atol=1e-14)
         for name in summed:
-            summed[name] += g.grad_params[name]
+            summed[name] += g[name]
     for name in summed:
         np.testing.assert_allclose(grads[name], summed[name], rtol=1e-9,
                                    atol=1e-13, err_msg=name)
@@ -138,13 +136,14 @@ def test_batch_gradient_is_sum_of_per_sample_gradients():
 def test_codeword_gradient_descends_the_loss():
     p = f64_params(seed=4)
     rng = np.random.default_rng(6)
-    cw = rng.normal(size=ARCH.codeword_dim)
-    targets = rng.uniform(-1, 1, (len(COORDS), 2))
-    _, tape = forward(p, cw, COORDS)
-    g = backward_codeword(tape, p, targets)
-    stepped = cw - 1e-3 * g.grad_codeword
-    out2, _ = forward(p, stepped, COORDS)
-    assert loss_mse(out2, targets) < g.loss
+    cw = rng.normal(size=(1, ARCH.codeword_dim))
+    targets = rng.uniform(-1, 1, (1, len(COORDS), 2))
+    feats = fourier_features(p, COORDS)
+    _, tape = forward_batch(p, cw, feats=feats)
+    loss, grad_cw, _ = backward_batch(tape, p, targets, need_params=False)
+    stepped = cw - 1e-3 * grad_cw
+    out2, _ = forward_batch(p, stepped, feats=feats)
+    assert loss_mse(out2, targets) < loss[0]
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -162,7 +161,9 @@ def serial_finite_diff(params, codeword, coords, targets, h=1e-5):
     """Reference for finite_diff_check: one scalar, two forward calls at a time."""
     p = params.cast(np.float64)
     cw = np.asarray(codeword, dtype=np.float64).copy()
-    _, tape = forward(p, cw, coords)
+    feats = fourier_features(p, coords)
+    loss = lambda: loss_mse(forward_batch(p, cw[None], feats=feats)[0][0], targets)
+    _, tape = forward_batch(p, cw[None], feats=feats)
     _, grad_cw, grads = backward_batch(tape, p, targets[None], need_params=True)
     analytic = {"codeword": grad_cw[0], **grads}
     report = {}
@@ -172,9 +173,9 @@ def serial_finite_diff(params, codeword, coords, targets, h=1e-5):
         for k in range(flat.size):
             keep = flat[k]
             flat[k] = keep + h
-            hi = loss_mse(forward(p, cw, coords)[0], targets)
+            hi = loss()
             flat[k] = keep - h
-            lo = loss_mse(forward(p, cw, coords)[0], targets)
+            lo = loss()
             flat[k] = keep
             numeric[k] = (hi - lo) / (2.0 * h)
         ana = analytic[name].reshape(-1)
@@ -244,9 +245,9 @@ def test_finite_diff_refuses_an_exact_fit():
     # gradient exactly 0, so no block's relative error has a scale.
     p = f64_params(seed=1)
     cw = np.random.default_rng(9).normal(size=ARCH.codeword_dim)
-    out, _ = forward(p, cw, COORDS)
+    out, _ = forward_batch(p, cw[None], feats=fourier_features(p, COORDS))
     with pytest.raises(ValueError, match="exact fit"):
-        finite_diff_check(p, cw, COORDS, out.copy())
+        finite_diff_check(p, cw, COORDS, out[0].copy())
 
 
 def test_finite_diff_rejects_nonpositive_step():
@@ -416,9 +417,13 @@ def test_backward_twice_on_one_tape_agrees_and_keeps_the_tape():
 
 def test_forward_validates_inputs():
     p = init_params(0, ARCH)
+    feats = fourier_features(p, COORDS)
     with pytest.raises(ValueError):
-        forward_batch(p, np.zeros((2, ARCH.codeword_dim + 1)), coords=COORDS)
+        forward_batch(p, np.zeros((2, ARCH.codeword_dim + 1)), feats=feats)
     with pytest.raises(ValueError):
-        forward_batch(p, np.zeros((2, ARCH.codeword_dim)))
-    with pytest.raises(ValueError):
-        forward(p, np.zeros((2, ARCH.codeword_dim)), COORDS)
+        forward_batch(p, np.zeros(ARCH.codeword_dim), feats=feats)
+    with pytest.raises(ValueError, match="feature matrix"):
+        forward_batch(p, np.zeros((2, ARCH.codeword_dim)), feats=feats[:, 1:])
+    with pytest.raises(ValueError, match="feature matrix"):
+        forward_batch(p, np.zeros((2, ARCH.codeword_dim)),
+                      feats=feats.astype(np.float64))

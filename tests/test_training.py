@@ -12,7 +12,6 @@ from csicodec.training import (
     TrainConfig,
     TrainingDiverged,
     TrainLog,
-    inner_adapt,
     inner_adapt_batch,
     outer_step,
     read_train_log,
@@ -63,18 +62,6 @@ def test_more_steps_reduce_the_fit_error():
         return float(per_sample.mean())
 
     assert mean_loss(3) < mean_loss(0)
-
-
-def test_inner_adapt_accepts_complex_matrices_and_planes():
-    params, _, _ = make_batch(3)
-    rng = np.random.default_rng(8)
-    mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    planes = np.stack([mat.real.ravel(), mat.imag.ravel()], axis=-1)
-    cw_mat = inner_adapt(params, GRID, mat, 2, 1e-2)
-    cw_pl = inner_adapt(params, GRID, planes, 2, 1e-2)
-    np.testing.assert_array_equal(cw_mat, cw_pl)
-    with pytest.raises(ValueError):
-        inner_adapt(params, GRID, planes[:-1], 2, 1e-2)
 
 
 def test_inner_adapt_never_mutates_params():
