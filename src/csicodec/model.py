@@ -11,12 +11,24 @@ This module owns the parameter container, initialization, the coordinate
 grid convention, and the checkpoint file format. The forward/backward math
 lives in `siren`; decoding codewords to channel matrices is
 `codec.decode_matrices`.
+
+A ModelParams' arrays are never written in place: every update (an Adam
+step, a cast, `with_blocks`) builds new arrays and a new ModelParams, so an
+old one (a best checkpoint kept during training) stays as it was, and
+values derived from one (the stacked modulation maps, an activation tape's
+first-layer projection) stay valid for as long as it lives. The trainable
+blocks also have one flat layout: raveled and concatenated in
+`trainable_blocks()` order (`trainable_vector`, `with_vector`), which the
+optimizer works on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,6 +36,13 @@ from .util import DIM, POSITIVE, Container
 
 # Modulation maps get a small random init (see init_params); this is the scale.
 DEFAULT_MOD_SCALE = 0.1
+
+
+# Per-layer blocks: name prefixes in trainable_blocks() order, and the
+# ModelParams field holding each.
+_LAYER_BLOCKS = ("w", "b", "scale_w", "scale_b", "shift_w", "shift_b")
+_LAYER_FIELDS = ("layer_w", "layer_b", "scale_w", "scale_b", "shift_w", "shift_b")
+_shape = attrgetter("shape")
 
 
 @dataclass(frozen=True)
@@ -48,9 +67,14 @@ class ArchConfig:
         if not (0 < self.omega0 < math.inf and 0 < self.fourier_scale < math.inf):
             raise ValueError("omega0 and fourier_scale must be positive and finite")
 
-    def block_shapes(self) -> dict:
+    def block_shapes(self) -> MappingProxyType:
         """Shape of every parameter block: "fourier", then the
-        trainable_blocks() names in their order (the checkpoint's order)."""
+        trainable_blocks() names in their order (the checkpoint's order).
+        Computed once per configuration; the mapping is read-only."""
+        return self._block_shapes
+
+    @cached_property
+    def _block_shapes(self) -> MappingProxyType:
         d, n = self.hidden_dim, self.codeword_dim
         shapes = {"fourier": (d, 2)}
         for k in range(1, self.num_layers + 1):
@@ -59,7 +83,31 @@ class ArchConfig:
                            f"scale_w{k}": (d, n), f"scale_b{k}": (d,),
                            f"shift_w{k}": (d, n), f"shift_b{k}": (d,)})
         shapes.update(out_w=(2, d), out_b=(2,))
-        return shapes
+        return MappingProxyType(shapes)
+
+    @cached_property
+    def _layer_names(self) -> tuple:
+        """Block names of each per-layer ModelParams field, in field order."""
+        return tuple(tuple(f"{name}{k}" for k in range(1, self.num_layers + 1))
+                     for name in _LAYER_BLOCKS)
+
+    @cached_property
+    def _field_shapes(self) -> tuple:
+        """block_shapes() in ModelParams field order: fourier, every layer's
+        w, then every b, scale_w, scale_b, shift_w, shift_b, then the head."""
+        s = self.block_shapes()
+        return (s["fourier"], *(s[name] for names in self._layer_names for name in names),
+                s["out_w"], s["out_b"])
+
+    @cached_property
+    def _vector_slices(self) -> tuple:
+        """(start, stop, shape) of every trainable block in the flat layout."""
+        slices, start = [], 0
+        for shape in list(self.block_shapes().values())[1:]:
+            stop = start + math.prod(shape)
+            slices.append((start, stop, shape))
+            start = stop
+        return tuple(slices)
 
     def param_count(self) -> int:
         """Scalars in all blocks, the fixed Fourier matrix included; closed
@@ -75,7 +123,8 @@ class ModelParams:
     The Fourier matrix is fixed (never trained). Weight lists are indexed by
     layer, 0-based internally; block names use 1-based layer numbers.
     norm_scale records the global scale of the dataset the model was trained
-    on, so a decoder can map outputs back to the physical domain.
+    on, so a decoder can map outputs back to the physical domain. The arrays
+    are never written in place (see the module docstring).
     """
 
     arch: ArchConfig
@@ -92,13 +141,17 @@ class ModelParams:
 
     def __post_init__(self):
         a = self.arch
-        for t in ("layer_w", "layer_b", "scale_w", "scale_b", "shift_w", "shift_b"):
+        for t in _LAYER_FIELDS:
             if len(getattr(self, t)) != a.num_layers:
                 raise ValueError(f"{t} must have {a.num_layers} entries")
-        blocks = {"fourier": self.fourier, **self.trainable_blocks()}
-        for name, shape in a.block_shapes().items():
-            if blocks[name].shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+        shapes = tuple(map(_shape, (
+            self.fourier, *self.layer_w, *self.layer_b, *self.scale_w,
+            *self.scale_b, *self.shift_w, *self.shift_b, self.out_w, self.out_b)))
+        if shapes != a._field_shapes:
+            blocks = {"fourier": self.fourier, **self.trainable_blocks()}
+            for name, shape in a.block_shapes().items():
+                if blocks[name].shape != shape:
+                    raise ValueError(f"{name} must have shape {shape}")
         if not (self.norm_scale > 0 and np.isfinite(self.norm_scale)):
             raise ValueError("norm_scale must be positive and finite")
 
@@ -122,23 +175,58 @@ class ModelParams:
                     norm_scale: float) -> "ModelParams":
         """ModelParams from named blocks: "fourier" plus every
         trainable_blocks() name."""
-        layers = lambda name: tuple(blocks[f"{name}{k}"]
-                                    for k in range(1, arch.num_layers + 1))
-        return cls(arch, blocks["fourier"], layers("w"), layers("b"),
-                   layers("scale_w"), layers("scale_b"), layers("shift_w"),
-                   layers("shift_b"), blocks["out_w"], blocks["out_b"], norm_scale)
+        return cls(arch, blocks["fourier"],
+                   *(tuple(map(blocks.__getitem__, names)) for names in arch._layer_names),
+                   blocks["out_w"], blocks["out_b"], norm_scale)
 
     def with_blocks(self, blocks: dict) -> "ModelParams":
         """New ModelParams with trainable arrays replaced by `blocks`."""
         return self.from_blocks(self.arch, {"fourier": self.fourier, **blocks},
                                 self.norm_scale)
 
+    @cached_property
+    def trainable_vector(self) -> np.ndarray:
+        """The trainable blocks in the flat layout: raveled and concatenated
+        in trainable_blocks() order. Built once; for params made by
+        with_vector it is that vector itself. Read only."""
+        return np.concatenate([b.ravel() for b in self.trainable_blocks().values()])
+
+    def with_vector(self, vector: np.ndarray) -> "ModelParams":
+        """New ModelParams whose trainable blocks are views into `vector`, a
+        flat-layout vector that nothing writes to afterwards.
+
+        The layout fixes every block's shape, so the new params skip the
+        shape check of the constructor.
+        """
+        views = [vector[start:stop].reshape(shape)
+                 for start, stop, shape in self.arch._vector_slices]
+        L6 = 6 * self.arch.num_layers
+        new = object.__new__(ModelParams)
+        new.__dict__.update(
+            arch=self.arch, fourier=self.fourier,
+            **{t: tuple(views[k:L6:6]) for k, t in enumerate(_LAYER_FIELDS)},
+            out_w=views[L6], out_b=views[L6 + 1], norm_scale=self.norm_scale,
+            trainable_vector=vector)
+        return new
+
+    @cached_property
+    def modulation(self) -> tuple:
+        """(M, m): scale_w1..L then shift_w1..L stacked by rows, shape
+        (2*L*d_h, n), and scale_b1..L, shift_b1..L stacked the same way.
+
+        `codewords @ M.T + m` holds every layer's gamma, then every eta, and
+        equals the per-layer products bit for bit as long as M.T is the
+        transposed view of this C-contiguous M. Built once per params.
+        """
+        return (np.concatenate((*self.scale_w, *self.shift_w)),
+                np.concatenate((*self.scale_b, *self.shift_b)))
+
     def cast(self, dtype) -> "ModelParams":
         """Copy with every array cast to dtype (float64 for verification)."""
-        blocks = {"fourier": self.fourier, **self.trainable_blocks()}
-        return self.from_blocks(self.arch, {k: np.asarray(v, dtype=dtype).copy()
-                                            for k, v in blocks.items()},
-                                self.norm_scale)
+        copy = lambda x: np.array(x, dtype=dtype)
+        return ModelParams(self.arch, copy(self.fourier),
+                           *(tuple(map(copy, getattr(self, t))) for t in _LAYER_FIELDS),
+                           copy(self.out_w), copy(self.out_b), self.norm_scale)
 
 
 def init_params(seed: int, arch: ArchConfig,

@@ -24,6 +24,15 @@ never writes to the forward arrays, so it can run twice on one tape.
 Every operation keeps the operand order and dtype of the out-of-place
 formulas, so results are bit-identical to them.
 
+Two things are computed once and reused. Every layer's gamma and eta come
+from one product of the codewords with the params' stacked modulation maps
+(`ModelParams.modulation`). The layer-1 pre-activation depends only on the
+feature matrix and w1, b1, not on the codewords, so a tape keeps the three
+objects it was computed from, and a forward that finds the same three
+objects on its tape skips that GEMM. Both rest on the rule that a
+ModelParams' arrays, like a feature matrix handed to forward_batch, are
+never written in place: a changed weight always comes as a new array.
+
 Everything here is batch-first: codewords are (B, n), targets (B, C, 2),
 and a single sample is a batch of one. Arithmetic runs in the dtype of the
 parameters (float32 in training, float64 for verification);
@@ -58,6 +67,7 @@ class ActivationTape:
     outputs: np.ndarray          # (B, C, 2)
     work: tuple | None = None    # two (B, C, d_h) backward buffers, made on
                                  # the first backward and reused after it
+    first_inputs: tuple = (None,) * 3   # (feats, w1, b1) first_pre was made from
 
     @classmethod
     def empty(cls, B: int, C: int, d: int, layers: int, dtype) -> "ActivationTape":
@@ -97,7 +107,8 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     feats is the coordinate set's fourier_features, (C, 2*d_h). A tape from
     an earlier call with the same batch size, coordinate count, width and
     dtype is overwritten in place and returned; any other tape is left alone
-    and a fresh one allocated.
+    and a fresh one allocated. A reused tape keeps its layer-1 projection
+    when feats, w1 and b1 are the very objects it was computed from.
     """
     a = params.arch
     dt = params.fourier.dtype
@@ -113,11 +124,16 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
         tape = ActivationTape.empty(B, C, d, L, dt)
     tape.codewords = cw
     tape.fourier_features = feats
-    tape.gammas = [cw @ params.scale_w[i].T + params.scale_b[i] for i in range(L)]
-    tape.etas = [cw @ params.shift_w[i].T + params.shift_b[i] for i in range(L)]
+    stack, bias = params.modulation
+    film = (cw @ stack.T + bias).reshape(B, 2 * L, d)   # every gamma, then every eta
+    tape.gammas = [film[:, i] for i in range(L)]
+    tape.etas = [film[:, L + i] for i in range(L)]
 
-    np.matmul(feats, params.layer_w[0].T, out=tape.first_pre)
-    tape.first_pre += params.layer_b[0]
+    first = (feats, params.layer_w[0], params.layer_b[0])
+    if any(x is not y for x, y in zip(tape.first_inputs, first)):
+        np.matmul(feats, params.layer_w[0].T, out=tape.first_pre)
+        tape.first_pre += params.layer_b[0]
+        tape.first_inputs = first
     for i in range(L):
         if i == 0:
             e = tape.first_pre                                 # (C, d_h)
@@ -179,7 +195,7 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
     grads = {} if need_params else None
     if need_params:
         grads["out_w"] = G.reshape(-1, 2).T @ tape.post[-1].reshape(-1, d)
-        grads["out_b"] = G.sum(axis=(0, 1))
+        grads["out_b"] = np.add.reduce(G, axis=(0, 1))
     if tape.work is None:
         tape.work = (np.empty_like(tape.post[0]), np.empty_like(tape.post[0]))
     # dF turns into du and then dE in place; scratch holds cos(z), then
@@ -192,27 +208,29 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
         du *= np.cos(tape.phase[i], out=scratch)
         du *= a.omega0
         e = tape.first_pre if i == 0 else tape.pre[i]
-        dgamma = np.sum(np.multiply(du, e, out=scratch), axis=1)   # (B, d_h)
-        deta = np.sum(du, axis=1)
+        dgamma = np.add.reduce(np.multiply(du, e, out=scratch), axis=1)   # (B, d_h)
+        deta = np.add.reduce(du, axis=1)
         if need_params:
             grads[f"scale_w{i + 1}"] = dgamma.T @ tape.codewords
-            grads[f"scale_b{i + 1}"] = dgamma.sum(axis=0)
+            grads[f"scale_b{i + 1}"] = np.add.reduce(dgamma, axis=0)
             grads[f"shift_w{i + 1}"] = deta.T @ tape.codewords
-            grads[f"shift_b{i + 1}"] = deta.sum(axis=0)
+            grads[f"shift_b{i + 1}"] = np.add.reduce(deta, axis=0)
         grad_cw += dgamma @ params.scale_w[i] + deta @ params.shift_w[i]
+        if i == 0 and not need_params:
+            break                       # layer 1's dE feeds only w1 and b1
         dE = du
         dE *= tape.gammas[i][:, None, :]
         if need_params:
             if i == 0:
-                grads["w1"] = dE.sum(axis=0).T @ tape.fourier_features
+                grads["w1"] = np.add.reduce(dE, axis=0).T @ tape.fourier_features
             else:
                 grads[f"w{i + 1}"] = dE.reshape(-1, d).T @ tape.post[i - 1].reshape(-1, d)
-            grads[f"b{i + 1}"] = dE.sum(axis=(0, 1))
+            grads[f"b{i + 1}"] = np.add.reduce(dE, axis=(0, 1))
         if i > 0:
             np.matmul(dE.reshape(-1, d), params.layer_w[i], out=scratch.reshape(-1, d))
             dF, scratch = scratch, dE
     if need_params:
-        grads = {k: grads[k] for k in params.trainable_blocks()}
+        grads = {k: grads[k] for k in a.block_shapes() if k != "fourier"}
     return per_sample, grad_cw, grads
 
 

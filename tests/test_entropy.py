@@ -140,3 +140,25 @@ def test_pack_validation():
         unpack_symbols(payload, nbits, 4, 4)
     with pytest.raises(ValueError):
         unpack_symbols(payload, nbits + 8, 4, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decoding_any_bytes_returns_symbols_in_range_or_raises(data):
+    # A receiver gets arbitrary bytes; within a valid bit count every
+    # payload decodes to `count` symbols of the alphabet, and only an
+    # invalid bit count or count raises, always as ValueError.
+    k = data.draw(st.integers(2, 32), label="alphabet")
+    counts = data.draw(st.lists(st.integers(1, 2048), min_size=k, max_size=k),
+                       label="counts")
+    table = FrequencyTable(np.array(counts))
+    payload = data.draw(st.binary(max_size=40), label="payload")
+    nbits = data.draw(st.integers(-2, 8 * len(payload) + 2), label="nbits")
+    count = data.draw(st.integers(-1, 64), label="count")
+    if 0 <= nbits <= 8 * len(payload) and count >= 0:
+        out = entropy_decode(payload, nbits, table, count)
+        assert out.shape == (count,)
+        assert np.all((out >= 0) & (out < k))
+    else:
+        with pytest.raises(ValueError):
+            entropy_decode(payload, nbits, table, count)

@@ -105,6 +105,41 @@ def test_with_blocks_is_functional():
     np.testing.assert_array_equal(p.trainable_blocks()["out_b"], blocks["out_b"])
 
 
+def test_block_shapes_are_computed_once_and_read_only():
+    shapes = ARCH.block_shapes()
+    assert ARCH.block_shapes() is shapes
+    with pytest.raises(TypeError):
+        shapes["w1"] = (1, 1)
+    assert shapes["w1"] == (32, 64)
+
+
+def test_a_block_of_the_wrong_shape_is_named():
+    p = init_params(0, ARCH)
+    bad = p.scale_w[:1] + (np.zeros((32, 7), np.float32),) + p.scale_w[2:]
+    with pytest.raises(ValueError, match=r"^scale_w2 must have shape \(32, 8\)$"):
+        dataclasses.replace(p, scale_w=bad)
+    with pytest.raises(ValueError, match="shift_b must have 3 entries"):
+        dataclasses.replace(p, shift_b=p.shift_b[:2])
+
+
+def test_flat_layout_round_trips_through_views():
+    p = dataclasses.replace(init_params(3, ARCH), norm_scale=2.5)
+    flat = p.trainable_vector
+    blocks = p.trainable_blocks()
+    assert flat.size == sum(b.size for b in blocks.values())
+    np.testing.assert_array_equal(
+        flat, np.concatenate([b.ravel() for b in blocks.values()]))
+    q = p.with_vector(flat * 2.0)
+    assert q.trainable_vector.base is None and q.norm_scale == 2.5
+    assert q.fourier is p.fourier
+    for name, block in q.trainable_blocks().items():
+        assert block.shape == blocks[name].shape
+        assert np.shares_memory(block, q.trainable_vector)
+        np.testing.assert_array_equal(block, blocks[name] * 2.0)
+    # the views are ordinary params: a cast copies them out
+    np.testing.assert_array_equal(q.cast(np.float64).out_w, blocks["out_w"] * 2.0)
+
+
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     p = dataclasses.replace(init_params(5, ARCH), norm_scale=1.75)
     path = tmp_path / "m.csin"

@@ -158,26 +158,33 @@ def test_analytic_gradients_match_finite_differences():
 
 
 def serial_finite_diff(params, codeword, coords, targets, h=1e-5):
-    """Reference for finite_diff_check: one scalar, two forward calls at a time."""
+    """Reference for finite_diff_check: one scalar, two forward calls at a time.
+
+    Each moved scalar goes into a fresh copy of its block and fresh params,
+    since a ModelParams' arrays are never written in place."""
     p = params.cast(np.float64)
-    cw = np.asarray(codeword, dtype=np.float64).copy()
+    cw = np.asarray(codeword, dtype=np.float64)
     feats = fourier_features(p, coords)
-    loss = lambda: loss_mse(forward_batch(p, cw[None], feats=feats)[0][0], targets)
+    blocks = {"codeword": cw, **p.trainable_blocks()}
+
+    def loss(name, arr):
+        moved = {**blocks, name: arr}
+        q = p.with_blocks({k: v for k, v in moved.items() if k != "codeword"})
+        return loss_mse(forward_batch(q, moved["codeword"][None], feats=feats)[0][0],
+                        targets)
+
     _, tape = forward_batch(p, cw[None], feats=feats)
     _, grad_cw, grads = backward_batch(tape, p, targets[None], need_params=True)
     analytic = {"codeword": grad_cw[0], **grads}
     report = {}
-    for name, arr in {"codeword": cw, **p.trainable_blocks()}.items():
-        flat = arr.reshape(-1)
-        numeric = np.empty(flat.size)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + h
-            hi = loss()
-            flat[k] = keep - h
-            lo = loss()
-            flat[k] = keep
-            numeric[k] = (hi - lo) / (2.0 * h)
+    for name, arr in blocks.items():
+        numeric = np.empty(arr.size)
+        for k in range(arr.size):
+            keep = arr.flat[k]
+            hi, lo = arr.copy(), arr.copy()
+            hi.flat[k] = keep + h
+            lo.flat[k] = keep - h
+            numeric[k] = (loss(name, hi) - loss(name, lo)) / (2.0 * h)
         ana = analytic[name].reshape(-1)
         scale = max(np.abs(ana).max(), np.abs(numeric).max(), 1e-8)
         report[name] = np.abs(ana - numeric).max() / scale
@@ -296,7 +303,7 @@ def reference_forward(params, codewords, feats):
         post.append(np.sin(z))
     out = (post[-1].reshape(B * C, d) @ params.out_w.T + params.out_b).reshape(B, C, 2)
     return out, dict(cw=cw, feats=feats, pre=pre, cos_act=cos_act, post=post,
-                     gammas=gammas)
+                     gammas=gammas, etas=etas)
 
 
 def reference_backward(cache, params, outputs, targets):
@@ -355,13 +362,18 @@ def assert_same_gradients(run, expected):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("arch,grid,batch", [(ARCH, (4, 4), 3), (DESK, (16, 16), 64)])
+@pytest.mark.parametrize("arch,grid,batch", [(ARCH, (4, 4), 3), (DESK, (16, 16), 64),
+                                             (DESK, (16, 16), 1), (DESK, (16, 16), 17)])
 def test_in_place_loop_is_bit_identical_to_the_reference(dtype, arch, grid, batch):
     p, feats, cws, targets = film_case(dtype, arch, grid, batch)
     out, tape = forward_batch(p, cws, feats=feats)
     ref_out, cache = reference_forward(p, cws, feats)
     assert out.dtype == dtype
     np.testing.assert_array_equal(out, ref_out)
+    # one stacked modulation product gives the per-layer gammas and etas
+    for i in range(arch.num_layers):
+        np.testing.assert_array_equal(tape.gammas[i], cache["gammas"][i])
+        np.testing.assert_array_equal(tape.etas[i], cache["etas"][i])
     expected = reference_backward(cache, p, ref_out, targets)
     assert_same_gradients(backward_batch(tape, p, targets, need_params=True), expected)
     cw_only = backward_batch(tape, p, targets, need_params=False)
@@ -387,6 +399,46 @@ def test_reused_tape_matches_a_fresh_one(dtype):
     fresh_out, fresh = forward_batch(p, cws, feats=feats)
     np.testing.assert_array_equal(out, fresh_out)
     assert_same_gradients(run, backward_batch(fresh, p, targets, need_params=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 8, 16, 17, 64])
+def test_stacked_modulations_equal_the_per_layer_products(dtype, batch):
+    p, _, cws, _ = film_case(dtype, DESK, batch=batch, seed=3)
+    M, m = p.modulation
+    assert M.shape == (2 * DESK.num_layers * DESK.hidden_dim, DESK.codeword_dim)
+    assert p.modulation[0] is M               # built once per params
+    film = cws @ M.T + m
+    d, L = DESK.hidden_dim, DESK.num_layers
+    for i in range(L):
+        np.testing.assert_array_equal(film[:, i * d:(i + 1) * d],
+                                      cws @ p.scale_w[i].T + p.scale_b[i])
+        np.testing.assert_array_equal(film[:, (L + i) * d:(L + i + 1) * d],
+                                      cws @ p.shift_w[i].T + p.shift_b[i])
+
+
+def test_a_tape_keeps_its_first_layer_projection_only_for_the_same_inputs():
+    p, feats, cws, targets = film_case(np.float32)
+    _, tape = forward_batch(p, cws, feats=feats)
+    # the same feats, w1 and b1 objects: the projection is not recomputed
+    tape.first_pre[0, 0] = 123.0
+    forward_batch(p, cws, feats=feats, tape=tape)
+    assert tape.first_pre[0, 0] == 123.0
+
+    other_feats = fourier_features(p, CoordinateGrid(2, 8).flat_coords())
+    blocks = p.trainable_blocks()
+    for params, f in ((p, other_feats),
+                      (p.with_blocks({**blocks, "w1": blocks["w1"] * 1.5}), feats),
+                      (p.with_blocks({**blocks, "b1": blocks["b1"] + 0.25}), feats),
+                      (p.with_blocks({**blocks, "w1": blocks["w1"].copy()}), feats)):
+        tape.first_pre[0, 0] = 123.0       # a new object must be projected anew
+        out, again = forward_batch(params, cws, feats=f, tape=tape)
+        assert again is tape
+        fresh_out, fresh = forward_batch(params, cws, feats=f)
+        np.testing.assert_array_equal(tape.first_pre, fresh.first_pre)
+        np.testing.assert_array_equal(out, fresh_out)
+        assert_same_gradients(backward_batch(tape, params, targets, need_params=True),
+                              backward_batch(fresh, params, targets, need_params=True))
 
 
 def test_tape_of_another_shape_is_left_alone():

@@ -1,8 +1,11 @@
 """Inner-loop adaptation, Adam outer updates, and the training driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from csicodec import training, util
 from csicodec.channel import half_wavelength_config
 from csicodec.dataset import generate_dataset
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
@@ -136,6 +139,144 @@ def test_outer_step_never_mutates_inputs():
         np.testing.assert_array_equal(block, before[name])
 
 
+def test_outer_step_names_the_first_block_with_a_non_finite_gradient(monkeypatch):
+    params, feats, targets = make_batch(8)
+    cw = inner_adapt_batch(params, feats, targets, 2, 1e-2)
+    real = training.backward_batch
+
+    def poisoned(tape, params, targets, need_params):
+        per_sample, grad_cw, grads = real(tape, params, targets, need_params)
+        if need_params:
+            grads["shift_w2"][0, 0] = np.nan
+            grads["out_b"][1] = np.inf
+        return per_sample, grad_cw, grads
+
+    monkeypatch.setattr(training, "backward_batch", poisoned)
+    adam = AdamState.for_params(params)
+    with pytest.raises(TrainingDiverged,
+                       match=r"^outer step: non-finite gradient in shift_w2$"):
+        outer_step(params, adam, feats, targets, cw, lr=1e-3)
+    assert adam.step == 0 and not np.any(adam.moment1)
+
+    train_ds, val_ds = tiny_splits()
+    with pytest.raises(TrainingDiverged, match=r"epoch 1, outer step 1: "
+                       r"outer step: non-finite gradient in shift_w2"):
+        train(train_ds, val_ds, ARCH, TrainConfig(max_epochs=1, batch_size=4,
+                                                  seed=5, mod_scale=0.5))
+
+
+def reference_outer_step(params, moments, feats, targets, codewords, lr):
+    """Per-block Adam on fresh arrays, the reference for the flat update.
+    `moments` maps block name -> [m, v] and is updated in place."""
+    _, tape = forward_batch(params, codewords, feats=feats)
+    per_sample, _, grads = backward_batch(tape, params, targets, need_params=True)
+    moments["step"] = step = moments.get("step", 0) + 1
+    bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+    new = {}
+    for name, w in params.trainable_blocks().items():
+        g = grads[name]
+        m, v = moments.setdefault(name, [np.zeros_like(w), np.zeros_like(w)])
+        m = moments[name][0] = m * 0.9 + (1.0 - 0.9) * g
+        v = moments[name][1] = v * 0.999 + (1.0 - 0.999) * (g * g)
+        new[name] = w - lr * ((m / bc1) / (np.sqrt(v / bc2) + 1e-8))
+    return params.with_blocks(new), float(per_sample.mean())
+
+
+def reference_train_steps(train_ds, arch, cfg):
+    """train()'s epoch loop without validation: the params after each epoch
+    (index 0 the untrained model) and every step's loss."""
+    params = replace(init_params(cfg.seed, arch, cfg.mod_scale),
+                     norm_scale=train_ds.norm_scale)
+    grid = CoordinateGrid(train_ds.num_antennas, train_ds.num_subcarriers)
+    feats = fourier_features(params, grid.flat_coords())
+    planes = train_ds.planes.reshape(len(train_ds), len(grid), 2)
+    moments, after_epoch, losses = {}, [params], []
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, epoch])).permutation(len(planes))
+        for start in range(0, len(planes), cfg.batch_size):
+            batch = planes[order[start:start + cfg.batch_size]]
+            cw = inner_adapt_batch(params, feats, batch, cfg.inner_steps, cfg.inner_lr)
+            params, loss = reference_outer_step(params, moments, feats, batch, cw,
+                                                cfg.outer_lr)
+            losses.append(loss)
+        after_epoch.append(params)
+    return after_epoch, losses
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_training_matches_a_per_block_reference_adam(batch_size):
+    train_ds, val_ds = tiny_splits()      # 8 samples: at batch size 3, ragged
+    cfg = TrainConfig(max_epochs=3, batch_size=batch_size, outer_lr=1e-3,
+                      seed=5, mod_scale=0.5, patience=8)
+    params, log = train(train_ds, val_ds, ARCH, cfg)
+    after_epoch, losses = reference_train_steps(train_ds, ARCH, cfg)
+    assert [loss for _, loss in log.steps] == losses
+    expected = after_epoch[log.best_epoch]
+    assert log.best_epoch > 0
+    for name, block in params.trainable_blocks().items():
+        np.testing.assert_array_equal(block, expected.trainable_blocks()[name],
+                                      err_msg=name)
+    # every block is a view into one flat vector, never written in place
+    flat = params.trainable_vector
+    for block in params.trainable_blocks().values():
+        assert np.shares_memory(block, flat)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_holds_one_blas_thread_and_restores_the_count(monkeypatch,
+                                                               tile_threads):
+    prior = tile_threads.get()
+    seen = []
+    real = training.outer_step
+
+    def spy(*args, **kwargs):
+        seen.append(tile_threads.get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "outer_step", spy)
+    train_ds, val_ds = tiny_splits()
+    try:
+        tile_threads.set(2)
+        train(train_ds, val_ds, ARCH, TrainConfig(max_epochs=1, batch_size=4,
+                                                  seed=5, mod_scale=0.5))
+        assert seen == [1, 1]
+        assert tile_threads.get() == 2
+        train_ds.planes[:, 0, 0, 0] = np.inf
+        with pytest.raises(TrainingDiverged):
+            train(train_ds, val_ds, ARCH, TrainConfig(max_epochs=1, batch_size=4,
+                                                      seed=5, mod_scale=0.5))
+        assert tile_threads.get() == 2
+    finally:
+        tile_threads.set(prior)
+
+
+def serial_validation_nmse_db(params, feats, planes, cfg, tile=8):
+    """Reference for validation: tiles of `tile` samples, one after another,
+    each on a fresh tape."""
+    ratios = []
+    for start in range(0, len(planes), tile):
+        t = planes[start:start + tile]
+        cw = inner_adapt_batch(params, feats, t, cfg.inner_steps, cfg.inner_lr)
+        out, _ = forward_batch(params, cw, feats=feats)
+        diff = out.astype(np.float64) - t.astype(np.float64)
+        ratios.append(np.sum(diff ** 2, axis=(1, 2))
+                      / np.sum(t.astype(np.float64) ** 2, axis=(1, 2)))
+    return float(10.0 * np.log10(np.mean(np.concatenate(ratios))))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_validation_equals_a_serial_loop_over_tiles_of_eight(monkeypatch,
+                                                             tile_threads, workers):
+    monkeypatch.setattr(util, "_cpu_count", lambda: workers)
+    params, feats, planes = make_batch(9, count=21)     # tiles of 8, 8 and 5
+    assert training.VALIDATION_TILE == 8
+    for batch_size in (1, 4, 64):
+        cfg = TrainConfig(inner_steps=2, batch_size=batch_size)
+        assert training._mean_nmse_db(params, feats, planes, cfg) == \
+            serial_validation_nmse_db(params, feats, planes, cfg)
+
+
 def tiny_splits():
     cfg = half_wavelength_config(num_antennas=4, num_subcarriers=4,
                                  num_paths=2)
@@ -206,6 +347,12 @@ def test_mismatched_grids_are_rejected():
         num_antennas=8, num_subcarriers=4, num_paths=2))
     with pytest.raises(ValueError):
         train(train_ds, other, ARCH, TrainConfig(max_epochs=1, batch_size=4))
+
+
+def test_an_empty_validation_split_is_rejected():
+    train_ds, val_ds = tiny_splits()
+    with pytest.raises(ValueError, match="validation split is empty"):
+        train(train_ds, val_ds.slice(0, 0), ARCH, TrainConfig(max_epochs=1, batch_size=4))
 
 
 def test_log_csv_round_trip(tmp_path):
