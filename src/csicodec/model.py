@@ -12,14 +12,14 @@ grid convention, and the checkpoint file format. The forward/backward math
 lives in `siren`; decoding codewords to channel matrices is
 `codec.decode_matrices`.
 
-A ModelParams' arrays are never written in place: every update (an Adam
-step, a cast, `with_blocks`) builds new arrays and a new ModelParams, so an
-old one (a best checkpoint kept during training) stays as it was, and
-values derived from one (the stacked modulation maps, an activation tape's
-first-layer projection) stay valid for as long as it lives. The trainable
-blocks also have one flat layout: raveled and concatenated in
-`trainable_blocks()` order (`trainable_vector`, `with_vector`), which the
-optimizer works on.
+A ModelParams' arrays are never written in place: the constructor marks
+every array it is given read-only, so a write raises instead of going
+unseen. Every update (an Adam step, a cast, `with_blocks`) builds new
+arrays and a new ModelParams, so an old one (a best checkpoint kept during
+training) stays as it was, and values derived from one (the stacked
+modulation maps) stay valid for as long as it lives. The trainable blocks
+also have one flat layout: raveled and concatenated in `trainable_blocks()`
+order (`trainable_vector`, `with_vector`), which the optimizer works on.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ DEFAULT_MOD_SCALE = 0.1
 _LAYER_BLOCKS = ("w", "b", "scale_w", "scale_b", "shift_w", "shift_b")
 _LAYER_FIELDS = ("layer_w", "layer_b", "scale_w", "scale_b", "shift_w", "shift_b")
 _shape = attrgetter("shape")
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,9 @@ class ModelParams:
     The Fourier matrix is fixed (never trained). Weight lists are indexed by
     layer, 0-based internally; block names use 1-based layer numbers.
     norm_scale records the global scale of the dataset the model was trained
-    on, so a decoder can map outputs back to the physical domain. The arrays
-    are never written in place (see the module docstring).
+    on, so a decoder can map outputs back to the physical domain. The
+    constructor marks every array read-only, the caller's own arrays
+    included (see the module docstring).
     """
 
     arch: ArchConfig
@@ -144,16 +150,18 @@ class ModelParams:
         for t in _LAYER_FIELDS:
             if len(getattr(self, t)) != a.num_layers:
                 raise ValueError(f"{t} must have {a.num_layers} entries")
-        shapes = tuple(map(_shape, (
-            self.fourier, *self.layer_w, *self.layer_b, *self.scale_w,
-            *self.scale_b, *self.shift_w, *self.shift_b, self.out_w, self.out_b)))
-        if shapes != a._field_shapes:
+        arrays = (self.fourier, *self.layer_w, *self.layer_b, *self.scale_w,
+                  *self.scale_b, *self.shift_w, *self.shift_b, self.out_w, self.out_b)
+        if tuple(map(_shape, arrays)) != a._field_shapes:
             blocks = {"fourier": self.fourier, **self.trainable_blocks()}
             for name, shape in a.block_shapes().items():
                 if blocks[name].shape != shape:
                     raise ValueError(f"{name} must have shape {shape}")
         if not (self.norm_scale > 0 and np.isfinite(self.norm_scale)):
             raise ValueError("norm_scale must be positive and finite")
+        for x in arrays:
+            if x.flags.writeable:       # views of a read-only vector are not
+                x.setflags(write=False)
 
     def trainable_blocks(self) -> dict:
         """Named trainable arrays in a fixed order. Excludes the Fourier matrix."""
@@ -188,25 +196,21 @@ class ModelParams:
     def trainable_vector(self) -> np.ndarray:
         """The trainable blocks in the flat layout: raveled and concatenated
         in trainable_blocks() order. Built once; for params made by
-        with_vector it is that vector itself. Read only."""
-        return np.concatenate([b.ravel() for b in self.trainable_blocks().values()])
+        with_vector it is that vector itself. Read-only."""
+        return _read_only(np.concatenate([b.ravel() for b in
+                                          self.trainable_blocks().values()]))
 
     def with_vector(self, vector: np.ndarray) -> "ModelParams":
         """New ModelParams whose trainable blocks are views into `vector`, a
-        flat-layout vector that nothing writes to afterwards.
-
-        The layout fixes every block's shape, so the new params skip the
-        shape check of the constructor.
-        """
+        flat-layout vector, which becomes read-only."""
+        _read_only(vector)
         views = [vector[start:stop].reshape(shape)
                  for start, stop, shape in self.arch._vector_slices]
         L6 = 6 * self.arch.num_layers
-        new = object.__new__(ModelParams)
-        new.__dict__.update(
-            arch=self.arch, fourier=self.fourier,
-            **{t: tuple(views[k:L6:6]) for k, t in enumerate(_LAYER_FIELDS)},
-            out_w=views[L6], out_b=views[L6 + 1], norm_scale=self.norm_scale,
-            trainable_vector=vector)
+        new = ModelParams(self.arch, self.fourier,
+                          *(tuple(views[k:L6:6]) for k in range(len(_LAYER_FIELDS))),
+                          views[L6], views[L6 + 1], self.norm_scale)
+        new.__dict__["trainable_vector"] = vector    # the cached property's value
         return new
 
     @cached_property
@@ -216,10 +220,11 @@ class ModelParams:
 
         `codewords @ M.T + m` holds every layer's gamma, then every eta, and
         equals the per-layer products bit for bit as long as M.T is the
-        transposed view of this C-contiguous M. Built once per params.
+        transposed view of this C-contiguous M. Built once per params;
+        both are read-only.
         """
-        return (np.concatenate((*self.scale_w, *self.shift_w)),
-                np.concatenate((*self.scale_b, *self.shift_b)))
+        return (_read_only(np.concatenate((*self.scale_w, *self.shift_w))),
+                _read_only(np.concatenate((*self.scale_b, *self.shift_b))))
 
     def cast(self, dtype) -> "ModelParams":
         """Copy with every array cast to dtype (float64 for verification)."""

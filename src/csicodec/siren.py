@@ -24,14 +24,11 @@ never writes to the forward arrays, so it can run twice on one tape.
 Every operation keeps the operand order and dtype of the out-of-place
 formulas, so results are bit-identical to them.
 
-Two things are computed once and reused. Every layer's gamma and eta come
-from one product of the codewords with the params' stacked modulation maps
-(`ModelParams.modulation`). The layer-1 pre-activation depends only on the
-feature matrix and w1, b1, not on the codewords, so a tape keeps the three
-objects it was computed from, and a forward that finds the same three
-objects on its tape skips that GEMM. Both rest on the rule that a
-ModelParams' arrays, like a feature matrix handed to forward_batch, are
-never written in place: a changed weight always comes as a new array.
+Every layer's gamma and eta come from one product of the codewords with
+the params' stacked modulation maps (`ModelParams.modulation`, built once
+per params). That rests on the rule that a ModelParams' arrays are never
+written in place: they are read-only, and a changed weight always comes as
+a new array in new params.
 
 Everything here is batch-first: codewords are (B, n), targets (B, C, 2),
 and a single sample is a batch of one. Arithmetic runs in the dtype of the
@@ -67,7 +64,6 @@ class ActivationTape:
     outputs: np.ndarray          # (B, C, 2)
     work: tuple | None = None    # two (B, C, d_h) backward buffers, made on
                                  # the first backward and reused after it
-    first_inputs: tuple = (None,) * 3   # (feats, w1, b1) first_pre was made from
 
     @classmethod
     def empty(cls, B: int, C: int, d: int, layers: int, dtype) -> "ActivationTape":
@@ -107,8 +103,7 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     feats is the coordinate set's fourier_features, (C, 2*d_h). A tape from
     an earlier call with the same batch size, coordinate count, width and
     dtype is overwritten in place and returned; any other tape is left alone
-    and a fresh one allocated. A reused tape keeps its layer-1 projection
-    when feats, w1 and b1 are the very objects it was computed from.
+    and a fresh one allocated.
     """
     a = params.arch
     dt = params.fourier.dtype
@@ -129,11 +124,8 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     tape.gammas = [film[:, i] for i in range(L)]
     tape.etas = [film[:, L + i] for i in range(L)]
 
-    first = (feats, params.layer_w[0], params.layer_b[0])
-    if any(x is not y for x, y in zip(tape.first_inputs, first)):
-        np.matmul(feats, params.layer_w[0].T, out=tape.first_pre)
-        tape.first_pre += params.layer_b[0]
-        tape.first_inputs = first
+    np.matmul(feats, params.layer_w[0].T, out=tape.first_pre)
+    tape.first_pre += params.layer_b[0]
     for i in range(L):
         if i == 0:
             e = tape.first_pre                                 # (C, d_h)

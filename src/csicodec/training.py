@@ -12,9 +12,9 @@ Everything is deterministic given the seed: initialization, epoch shuffles,
 and Adam state evolve from fixed streams with no hidden global RNG.
 
 At batch size 1 a step costs as much in calls as in arithmetic, so Adam
-works on the flat layout of the trainable blocks as one vector, one tape
-serves every step of a run, and the run holds OpenBLAS at one thread.
-Parameters are never written in place: each outer step returns new params.
+works on the flat layout of the trainable blocks as one vector and one tape
+serves every step of a run. Parameters are never written in place: each
+outer step returns new params.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import Dataset
 from .model import DEFAULT_MOD_SCALE, ArchConfig, CoordinateGrid, ModelParams, init_params
 from .siren import ActivationTape, backward_batch, forward_batch, fourier_features
-from .util import map_tiles, one_blas_thread
+from .util import map_tiles
 
 # Samples per validation tile, whatever the batch size or CPU count, so the
 # validation NMSE depends on neither. At batch size 1 a sample's three
@@ -241,8 +241,6 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
     (best ModelParams, TrainLog); the best checkpoint is the one with the
     lowest recorded validation NMSE, never a later one. Raises
     TrainingDiverged naming the epoch and step if anything goes non-finite.
-    OpenBLAS runs one thread for the whole call; the caller's count is
-    restored on the way out.
     """
     if (train_ds.num_antennas, train_ds.num_subcarriers) != \
             (val_ds.num_antennas, val_ds.num_subcarriers):
@@ -264,41 +262,40 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
 
     tapes = {}    # batch size -> the tape all its steps share
     adam = AdamState.for_params(params)
-    with one_blas_thread():
-        val0 = _validate(params, feats, val_planes, cfg, 0)
-        log.epochs.append((0, val0))
-        best_val, best_params, best_epoch = val0, params, 0
-        since_best = 0
-        step = 0
-        for epoch in range(1, cfg.max_epochs + 1):
-            order = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, epoch])).permutation(count)
-            for start in range(0, count, cfg.batch_size):
-                batch = train_planes[order[start:start + cfg.batch_size]]
-                tape = tapes.get(len(batch))
-                if tape is None:    # a ragged last batch gets its own
-                    tape = tapes[len(batch)] = ActivationTape.empty(
-                        len(batch), len(grid), arch.hidden_dim, arch.num_layers,
-                        params.fourier.dtype)
-                try:
-                    cw = inner_adapt_batch(params, feats, batch, cfg.inner_steps,
-                                           cfg.inner_lr, tape=tape)
-                    params, loss = outer_step(params, adam, feats, batch, cw,
-                                              cfg.outer_lr, tape=tape)
-                except TrainingDiverged as err:
-                    raise TrainingDiverged(
-                        f"epoch {epoch}, outer step {step + 1}: {err}") from err
-                step += 1
-                log.steps.append((step, loss))
-            val = _validate(params, feats, val_planes, cfg, epoch)
-            log.epochs.append((epoch, val))
-            if val < best_val:
-                best_val, best_params, best_epoch = val, params, epoch
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
+    val0 = _validate(params, feats, val_planes, cfg, 0)
+    log.epochs.append((0, val0))
+    best_val, best_params, best_epoch = val0, params, 0
+    since_best = 0
+    step = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, epoch])).permutation(count)
+        for start in range(0, count, cfg.batch_size):
+            batch = train_planes[order[start:start + cfg.batch_size]]
+            tape = tapes.get(len(batch))
+            if tape is None:    # a ragged last batch gets its own
+                tape = tapes[len(batch)] = ActivationTape.empty(
+                    len(batch), len(grid), arch.hidden_dim, arch.num_layers,
+                    params.fourier.dtype)
+            try:
+                cw = inner_adapt_batch(params, feats, batch, cfg.inner_steps,
+                                       cfg.inner_lr, tape=tape)
+                params, loss = outer_step(params, adam, feats, batch, cw,
+                                          cfg.outer_lr, tape=tape)
+            except TrainingDiverged as err:
+                raise TrainingDiverged(
+                    f"epoch {epoch}, outer step {step + 1}: {err}") from err
+            step += 1
+            log.steps.append((step, loss))
+        val = _validate(params, feats, val_planes, cfg, epoch)
+        log.epochs.append((epoch, val))
+        if val < best_val:
+            best_val, best_params, best_epoch = val, params, epoch
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
     log.best_epoch = best_epoch
     log.wall_seconds = time.perf_counter() - started
     return best_params, log

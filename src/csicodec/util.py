@@ -1,13 +1,11 @@
 """Small shared helpers: the config fingerprint, the binary container
-layout shared by the four file formats, the BLAS thread pin and the
-tile-parallel map.
+layout shared by the four file formats, and the tile-parallel map.
 
 `map_tiles` runs independent per-sample work (codeword adaptation,
 decoding, validation) over tiles of a stack, one thread per CPU in the
 process's affinity mask. NumPy's GEMMs, FiLM, sin and cos loops release the
 interpreter lock, so the threads overlap. While it runs, NumPy's bundled
-OpenBLAS is pinned to one thread (`one_blas_thread`, which training also
-holds for a whole run), set at run time through its exported
+OpenBLAS is pinned to one thread, set at run time through its exported
 `scipy_openblas_set_num_threads64_`; the caller's count is restored on the
 way out. OpenBLAS's own worker threads keep a core busy for ~0.1 s after
 every multi-threaded call before they sleep, so a parallel region stops
@@ -28,7 +26,6 @@ import struct
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -174,32 +171,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def one_blas_thread(stop_workers: bool = False):
-    """Pin NumPy's OpenBLAS to one thread for the body of a with block.
-
-    The caller's thread count is restored on the way out, also when the
-    body raises. With stop_workers, OpenBLAS's idle worker threads are
-    stopped on the way in and again after the restore (see map_tiles); like
-    a fork, that must not overlap a BLAS call on another thread. Does
-    nothing without an OpenBLAS thread handle.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    prior = blas.get()
-    blas.set(1)
-    try:
-        if stop_workers:
-            blas.stop_workers()
-        yield
-    finally:
-        blas.set(prior)
-        if stop_workers:
-            blas.stop_workers()
-
-
 def map_tiles(fn: Callable, count: int, tile: int) -> None:
     """Call fn(start, stop, carry) for every tile [start, stop) of range(count).
 
@@ -229,6 +200,7 @@ def map_tiles(fn: Callable, count: int, tile: int) -> None:
     if tile < 1:
         raise ValueError("tile must be >= 1")
     starts = range(0, count, tile)
+    blas = _openblas_threads()
     pending = iter(starts)
     lock = threading.Lock()
     failed = threading.Event()
@@ -246,16 +218,23 @@ def map_tiles(fn: Callable, count: int, tile: int) -> None:
             failed.set()
             raise
 
-    workers = min(len(starts), _cpu_count()) if _openblas_threads() else 1
-    with one_blas_thread(stop_workers=workers > 1):
-        try:
-            if workers <= 1:
-                work()
-            else:
-                with ThreadPoolExecutor(workers,
-                                        thread_name_prefix="csicodec-tile") as pool:
-                    futures = [pool.submit(work) for _ in range(workers)]
-                for future in futures:
-                    future.result()
-        finally:
-            failed.set()    # an interrupted wait leaves no tile to start
+    if blas is None:
+        work()
+        return
+    workers = min(len(starts), _cpu_count())
+    prior = blas.get()
+    blas.set(1)
+    try:
+        if workers <= 1:
+            work()
+        else:
+            blas.stop_workers()
+            with ThreadPoolExecutor(workers, thread_name_prefix="csicodec-tile") as pool:
+                futures = [pool.submit(work) for _ in range(workers)]
+            for future in futures:
+                future.result()
+    finally:
+        failed.set()    # an interrupted wait leaves no tile to start
+        blas.set(prior)
+        if workers > 1:
+            blas.stop_workers()

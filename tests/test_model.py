@@ -140,6 +140,27 @@ def test_flat_layout_round_trips_through_views():
     np.testing.assert_array_equal(q.cast(np.float64).out_w, blocks["out_w"] * 2.0)
 
 
+def test_an_in_place_write_to_params_raises(tmp_path):
+    base = init_params(3, ARCH)
+    save_checkpoint(base, tmp_path / "m.csin")
+    mine = base.trainable_blocks()["scale_w2"] * 2.0
+    made = {"init_params": base, "cast": base.cast(np.float64),
+            "load_checkpoint": load_checkpoint(tmp_path / "m.csin"),
+            "with_vector": base.with_vector(base.trainable_vector * 2.0),
+            "with_blocks": base.with_blocks({**base.trainable_blocks(), "scale_w2": mine})}
+    assert not mine.flags.writeable          # the caller's own array too
+    for how, p in made.items():
+        for arr in (p.fourier, *p.trainable_blocks().values(), p.trainable_vector,
+                    *p.modulation):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1
+    # the stacked modulation maps are built from the blocks the params hold
+    M, _ = made["with_blocks"].modulation
+    np.testing.assert_array_equal(M[32:64], mine)
+
+
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
     p = dataclasses.replace(init_params(5, ARCH), norm_scale=1.75)
     path = tmp_path / "m.csin"
