@@ -151,21 +151,21 @@ def _cmd_decode(args) -> int:
     params = load_checkpoint(args.checkpoint)
     stream = codec.load_bitstream(args.stream)
     state = codec.load_sidecar(args.sidecar) if args.sidecar else None
+    ref_ds = load_dataset(args.reference) if args.reference else None
+    if ref_ds is not None and not (0 <= args.index < len(ref_ds)):
+        raise SystemExit(f"reference index {args.index} outside dataset of {len(ref_ds)}")
     _print_fingerprint({
         "cmd": "decode", "checkpoint": args.checkpoint, "stream": args.stream,
         "sidecar": args.sidecar, "reference": args.reference,
         "index": args.index, "seed": args.seed,
     })
-    if args.reference:
-        ref_ds = load_dataset(args.reference)
-        rows, cols = ref_ds.num_antennas, ref_ds.num_subcarriers
-    else:
-        rows, cols = args.rows, args.cols
+    rows, cols = ((args.rows, args.cols) if ref_ds is None
+                  else (ref_ds.num_antennas, ref_ds.num_subcarriers))
     grid = CoordinateGrid(rows, cols)
     matrix = codec.decode_sample(params, stream, grid, state)
     np.save(args.out, matrix)
     print(f"decoded {rows}x{cols} matrix to {args.out}")
-    if args.reference:
+    if ref_ds is not None:
         target = ref_ds.matrices(denormalise=True)[args.index]
         linear, db = evaluate.nmse(target, matrix)
         print(f"NMSE vs reference sample {args.index}: {_fmt_db(db)} dB")
@@ -196,14 +196,9 @@ def _cmd_eval(args) -> int:
           f"coding gain {gain}")
     if args.out:
         b = None if state is None else state.quantizer.bit_width
-        evaluate.write_report_csv([{
-            "checkpoint": args.checkpoint, "n": params.arch.codeword_dim,
-            "b": b, "s_in": args.inner_steps, "samples": report.count,
-            "nmse_db": report.nmse_db,
-            "mean_payload_bits": report.mean_payload_bits,
-            "bit_rate": report.bit_rate, "cr": report.cr,
-            "coding_gain": report.coding_gain, "fingerprint": fp,
-        }], args.out)
+        evaluate.write_report_csv([evaluate.report_row(
+            args.checkpoint, params.arch.codeword_dim, b, args.inner_steps, report)],
+            args.out)
         print(f"wrote report to {args.out}")
     return 0
 

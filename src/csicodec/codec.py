@@ -301,7 +301,10 @@ def decode_codeword(params: ModelParams, stream: Bitstream,
     if stream.flags == FLAG_UNQUANTIZED:
         if stream.payload_bits != 32 * n:
             raise ValueError("unquantized payload has the wrong size")
-        return np.frombuffer(stream.payload, dtype="<f4", count=n).astype(np.float64)
+        cw = np.frombuffer(stream.payload, dtype="<f4", count=n).astype(np.float64)
+        if not np.all(np.isfinite(cw)):
+            raise ValueError("unquantized payload holds non-finite values")
+        return cw
     if state is None:
         raise ValueError("quantized stream needs the codec sidecar")
     if stream.bit_width != state.quantizer.bit_width:

@@ -68,9 +68,11 @@ def rates(codeword_dim: int, bit_width: int | None, payload_bits: float,
     CR counts codeword reals against the 2*N_t*N_c reals of the matrix;
     bit rate counts actual payload bits against the same denominator;
     coding gain is the relative saving versus fixed-width symbols and is
-    None when no bit width applies (unquantized payloads).
+    None when no bit width applies (unquantized payloads), where the
+    codeword may also be empty (the SVD baseline's mean-only predictor).
     """
-    if codeword_dim < 1 or num_antennas < 1 or num_subcarriers < 1:
+    if codeword_dim < (0 if bit_width is None else 1) or num_antennas < 1 \
+            or num_subcarriers < 1:
         raise ValueError("dimensions must be positive")
     if payload_bits < 0:
         raise ValueError("payload_bits must be nonnegative")
@@ -161,12 +163,11 @@ def svd_baseline(train_matrices: np.ndarray, test_matrices: np.ndarray,
     im = recon[:, rows * cols:].reshape(count, rows, cols)
     per = per_sample_nmse(te, re + 1j * im)
     linear = float(np.mean(per))
-    r = rates(max(codeword_dim, 1), None, 32.0 * codeword_dim, rows, cols)
+    r = rates(codeword_dim, None, 32.0 * codeword_dim, rows, cols)
     return MetricReport(count=count, per_sample=per, nmse_linear=linear,
                         nmse_db=nmse_db(linear), raw_bits=32 * codeword_dim,
-                        mean_payload_bits=32.0 * codeword_dim,
-                        cr=codeword_dim / (2.0 * rows * cols),
-                        bit_rate=r.bit_rate, coding_gain=None,
+                        mean_payload_bits=32.0 * codeword_dim, cr=r.cr,
+                        bit_rate=r.bit_rate, coding_gain=r.coding_gain,
                         fingerprint=fingerprint)
 
 
@@ -231,6 +232,15 @@ def parse_sweep_spec(path) -> SweepSpec:
 SWEEP_COLUMNS = ("checkpoint", "n", "b", "s_in", "samples", "nmse_db",
                  "mean_payload_bits", "bit_rate", "cr", "coding_gain",
                  "fingerprint")
+
+
+def report_row(checkpoint: str, codeword_dim: int, bit_width: int | None,
+               inner_steps: int, report: MetricReport) -> dict:
+    """The SWEEP_COLUMNS row of one evaluated (checkpoint, b, s_in) cell."""
+    return dict(zip(SWEEP_COLUMNS, (
+        checkpoint, codeword_dim, bit_width, inner_steps, report.count, report.nmse_db,
+        report.mean_payload_bits, report.bit_rate, report.cr, report.coding_gain,
+        report.fingerprint)))
 
 
 def _fmt(value) -> str:
@@ -316,18 +326,7 @@ def rd_sweep(spec: SweepSpec):
                                             fingerprint=fp)
                 except (ValueError, RuntimeError) as err:
                     raise ValueError(f"sweep cell {cell}: {err}") from err
-                rows.append({
-                    "checkpoint": ckpt_path,
-                    "n": params.arch.codeword_dim,
-                    "b": b,
-                    "s_in": s_in,
-                    "samples": report.count,
-                    "nmse_db": report.nmse_db,
-                    "mean_payload_bits": report.mean_payload_bits,
-                    "bit_rate": report.bit_rate,
-                    "cr": report.cr,
-                    "coding_gain": report.coding_gain,
-                    "fingerprint": report.fingerprint,
-                })
+                rows.append(report_row(ckpt_path, params.arch.codeword_dim, b,
+                                       s_in, report))
     write_report_csv(rows, spec.out)
     return rows

@@ -12,22 +12,24 @@ grid convention, and the checkpoint file format. The forward/backward math
 lives in `siren`; decoding codewords to channel matrices is
 `codec.decode_matrices`.
 
+Parameters have one layout: the fixed Fourier matrix plus one flat vector
+of every trainable block, raveled in `ArchConfig.block_shapes()` order (the
+checkpoint's order). `ArchConfig.split`, the only code that knows that
+order, names the blocks of a params vector and of a gradient alike.
+
 A ModelParams' arrays are never written in place: the constructor marks
-every array it is given read-only, so a write raises instead of going
-unseen. Every update (an Adam step, a cast, `with_blocks`) builds new
-arrays and a new ModelParams, so an old one (a best checkpoint kept during
-training) stays as it was, and values derived from one (the stacked
-modulation maps) stay valid for as long as it lives. The trainable blocks
-also have one flat layout: raveled and concatenated in `trainable_blocks()`
-order (`trainable_vector`, `with_vector`), which the optimizer works on.
+both read-only, so a write raises instead of going unseen. Every update
+(an Adam step, a cast, `with_blocks`) builds new params around a new
+vector, so an old one (a best checkpoint kept during training) stays as
+it was, and values derived from one (the stacked modulation maps) stay
+valid for as long as it lives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -36,13 +38,6 @@ from .util import DIM, POSITIVE, Container
 
 # Modulation maps get a small random init (see init_params); this is the scale.
 DEFAULT_MOD_SCALE = 0.1
-
-
-# Per-layer blocks: name prefixes in trainable_blocks() order, and the
-# ModelParams field holding each.
-_LAYER_BLOCKS = ("w", "b", "scale_w", "scale_b", "shift_w", "shift_b")
-_LAYER_FIELDS = ("layer_w", "layer_b", "scale_w", "scale_b", "shift_w", "shift_b")
-_shape = attrgetter("shape")
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -73,9 +68,9 @@ class ArchConfig:
             raise ValueError("omega0 and fourier_scale must be positive and finite")
 
     def block_shapes(self) -> MappingProxyType:
-        """Shape of every parameter block: "fourier", then the
-        trainable_blocks() names in their order (the checkpoint's order).
-        Computed once per configuration; the mapping is read-only."""
+        """Shape of every parameter block: "fourier", then the trainable
+        blocks in flat-layout order (the checkpoint's order). Computed once
+        per configuration; the mapping is read-only."""
         return self._block_shapes
 
     @cached_property
@@ -91,28 +86,15 @@ class ArchConfig:
         return MappingProxyType(shapes)
 
     @cached_property
-    def _layer_names(self) -> tuple:
-        """Block names of each per-layer ModelParams field, in field order."""
-        return tuple(tuple(f"{name}{k}" for k in range(1, self.num_layers + 1))
-                     for name in _LAYER_BLOCKS)
-
-    @cached_property
-    def _field_shapes(self) -> tuple:
-        """block_shapes() in ModelParams field order: fourier, every layer's
-        w, then every b, scale_w, scale_b, shift_w, shift_b, then the head."""
-        s = self.block_shapes()
-        return (s["fourier"], *(s[name] for names in self._layer_names for name in names),
-                s["out_w"], s["out_b"])
-
-    @cached_property
-    def _vector_slices(self) -> tuple:
-        """(start, stop, shape) of every trainable block in the flat layout."""
-        slices, start = [], 0
-        for shape in list(self.block_shapes().values())[1:]:
+    def _layout(self) -> tuple:
+        """(name, start, stop, shape) of every trainable block in the flat
+        layout: block_shapes() order without "fourier"."""
+        layout, start = [], 0
+        for name, shape in list(self.block_shapes().items())[1:]:
             stop = start + math.prod(shape)
-            slices.append((start, stop, shape))
+            layout.append((name, start, stop, shape))
             start = stop
-        return tuple(slices)
+        return tuple(layout)
 
     def param_count(self) -> int:
         """Scalars in all blocks, the fixed Fourier matrix included; closed
@@ -120,98 +102,61 @@ class ArchConfig:
         d, n, L = self.hidden_dim, self.codeword_dim, self.num_layers
         return (L + 1) * d * d + L * (3 * d + 2 * d * n) + 4 * d + 2
 
+    @property
+    def vector_size(self) -> int:
+        """Length of the flat layout: every block but the Fourier matrix."""
+        return self.param_count() - 2 * self.hidden_dim
+
+    def split(self, vector: np.ndarray) -> dict:
+        """Name the blocks of a flat-layout vector, of params or of a
+        gradient: a dict of reshaped views in block_shapes() order without
+        "fourier". The views share the vector's memory and writeability."""
+        if np.shape(vector) != (self.vector_size,):
+            raise ValueError(f"vector must have shape ({self.vector_size},)")
+        return {name: vector[start:stop].reshape(shape)
+                for name, start, stop, shape in self._layout}
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """All network parameters plus the dataset normalization scale.
 
-    The Fourier matrix is fixed (never trained). Weight lists are indexed by
-    layer, 0-based internally; block names use 1-based layer numbers.
-    norm_scale records the global scale of the dataset the model was trained
-    on, so a decoder can map outputs back to the physical domain. The
-    constructor marks every array read-only, the caller's own arrays
-    included (see the module docstring).
+    fourier is the fixed Fourier matrix (never trained); vector holds the
+    trainable blocks in the flat layout, and `blocks` maps each block name
+    (1-based layer numbers: w1, b1, scale_w1, ..., out_w, out_b) to its
+    view into vector, built once per params. norm_scale records the global
+    scale of the dataset the model was trained on, so a decoder can map
+    outputs back to the physical domain. The constructor marks both arrays
+    read-only, the caller's own included (see the module docstring).
     """
 
     arch: ArchConfig
     fourier: np.ndarray            # (d_h, 2), fixed
-    layer_w: tuple                 # per layer: (d_h, in_dim)
-    layer_b: tuple                 # per layer: (d_h,)
-    scale_w: tuple                 # per layer: (d_h, n), codeword -> gamma
-    scale_b: tuple
-    shift_w: tuple                 # per layer: (d_h, n), codeword -> eta
-    shift_b: tuple
-    out_w: np.ndarray              # (2, d_h)
-    out_b: np.ndarray              # (2,)
+    vector: np.ndarray             # (arch.vector_size,), trainable
     norm_scale: float = 1.0
+    blocks: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = self.arch
-        for t in _LAYER_FIELDS:
-            if len(getattr(self, t)) != a.num_layers:
-                raise ValueError(f"{t} must have {a.num_layers} entries")
-        arrays = (self.fourier, *self.layer_w, *self.layer_b, *self.scale_w,
-                  *self.scale_b, *self.shift_w, *self.shift_b, self.out_w, self.out_b)
-        if tuple(map(_shape, arrays)) != a._field_shapes:
-            blocks = {"fourier": self.fourier, **self.trainable_blocks()}
-            for name, shape in a.block_shapes().items():
-                if blocks[name].shape != shape:
-                    raise ValueError(f"{name} must have shape {shape}")
+        shape = self.arch.block_shapes()["fourier"]
+        if np.shape(self.fourier) != shape:
+            raise ValueError(f"fourier must have shape {shape}")
         if not (self.norm_scale > 0 and np.isfinite(self.norm_scale)):
             raise ValueError("norm_scale must be positive and finite")
-        for x in arrays:
-            if x.flags.writeable:       # views of a read-only vector are not
-                x.setflags(write=False)
-
-    def trainable_blocks(self) -> dict:
-        """Named trainable arrays in a fixed order. Excludes the Fourier matrix."""
-        blocks = {}
-        for i in range(self.arch.num_layers):
-            k = i + 1
-            blocks[f"w{k}"] = self.layer_w[i]
-            blocks[f"b{k}"] = self.layer_b[i]
-            blocks[f"scale_w{k}"] = self.scale_w[i]
-            blocks[f"scale_b{k}"] = self.scale_b[i]
-            blocks[f"shift_w{k}"] = self.shift_w[i]
-            blocks[f"shift_b{k}"] = self.shift_b[i]
-        blocks["out_w"] = self.out_w
-        blocks["out_b"] = self.out_b
-        return blocks
-
-    @classmethod
-    def from_blocks(cls, arch: ArchConfig, blocks: dict,
-                    norm_scale: float) -> "ModelParams":
-        """ModelParams from named blocks: "fourier" plus every
-        trainable_blocks() name."""
-        return cls(arch, blocks["fourier"],
-                   *(tuple(map(blocks.__getitem__, names)) for names in arch._layer_names),
-                   blocks["out_w"], blocks["out_b"], norm_scale)
+        self.fourier.setflags(write=False)
+        self.vector.setflags(write=False)    # first, so the views are read-only
+        object.__setattr__(self, "blocks",
+                           MappingProxyType(self.arch.split(self.vector)))
 
     def with_blocks(self, blocks: dict) -> "ModelParams":
-        """New ModelParams with trainable arrays replaced by `blocks`."""
-        return self.from_blocks(self.arch, {"fourier": self.fourier, **blocks},
-                                self.norm_scale)
-
-    @cached_property
-    def trainable_vector(self) -> np.ndarray:
-        """The trainable blocks in the flat layout: raveled and concatenated
-        in trainable_blocks() order. Built once; for params made by
-        with_vector it is that vector itself. Read-only."""
-        return _read_only(np.concatenate([b.ravel() for b in
-                                          self.trainable_blocks().values()]))
-
-    def with_vector(self, vector: np.ndarray) -> "ModelParams":
-        """New ModelParams whose trainable blocks are views into `vector`, a
-        flat-layout vector, which becomes read-only."""
-        _read_only(vector)
-        views = [vector[start:stop].reshape(shape)
-                 for start, stop, shape in self.arch._vector_slices]
-        L6 = 6 * self.arch.num_layers
-        new = ModelParams(self.arch, self.fourier,
-                          *(tuple(views[k:L6:6]) for k in range(len(_LAYER_FIELDS))),
-                          views[L6], views[L6 + 1], self.norm_scale)
-        new.__dict__["trainable_vector"] = vector    # the cached property's value
-        return new
+        """New ModelParams with the named trainable blocks replaced by
+        `blocks` and the others kept. Each must have its block's shape; a
+        block is never raveled into place by size alone."""
+        for name, block in blocks.items():
+            if np.shape(block) != self.blocks[name].shape:
+                raise ValueError(f"{name} must have shape {self.blocks[name].shape}")
+        merged = {**self.blocks, **blocks}          # keeps the layout's order
+        return replace(self, vector=np.concatenate(
+            [np.ravel(b) for b in merged.values()], dtype=self.vector.dtype))
 
     @cached_property
     def modulation(self) -> tuple:
@@ -223,15 +168,15 @@ class ModelParams:
         transposed view of this C-contiguous M. Built once per params;
         both are read-only.
         """
-        return (_read_only(np.concatenate((*self.scale_w, *self.shift_w))),
-                _read_only(np.concatenate((*self.scale_b, *self.shift_b))))
+        b, layers = self.blocks, range(1, self.arch.num_layers + 1)
+        stack = lambda kind: _read_only(np.concatenate(
+            [b[f"scale_{kind}{k}"] for k in layers] + [b[f"shift_{kind}{k}"] for k in layers]))
+        return stack("w"), stack("b")
 
     def cast(self, dtype) -> "ModelParams":
-        """Copy with every array cast to dtype (float64 for verification)."""
-        copy = lambda x: np.array(x, dtype=dtype)
-        return ModelParams(self.arch, copy(self.fourier),
-                           *(tuple(map(copy, getattr(self, t))) for t in _LAYER_FIELDS),
-                           copy(self.out_w), copy(self.out_b), self.norm_scale)
+        """Copy with both arrays cast to dtype (float64 for verification)."""
+        return replace(self, fourier=self.fourier.astype(dtype),
+                       vector=self.vector.astype(dtype))
 
 
 def init_params(seed: int, arch: ArchConfig,
@@ -250,34 +195,24 @@ def init_params(seed: int, arch: ArchConfig,
     both the codeword gradient and the maps' own gradients vanish identically,
     so a zero init would freeze the whole modulation path forever.
     """
-    a = arch
-    d, n, L = a.hidden_dim, a.codeword_dim, a.num_layers
+    a, d = arch, arch.hidden_dim
     rng = np.random.default_rng(seed)
-    f32 = lambda x: np.asarray(x, dtype=np.float32)
+    layers = range(1, a.num_layers + 1)
 
-    fourier = f32(rng.normal(0.0, a.fourier_scale, (d, 2)))
+    # draws in a fixed order: Fourier matrix, layer weights, head, scale
+    # maps, shift maps; each is rounded to float32 where it is stored
+    fourier = np.asarray(rng.normal(0.0, a.fourier_scale, (d, 2)), dtype=np.float32)
+    vector = np.zeros(a.vector_size, dtype=np.float32)
+    blocks = a.split(vector)
     deep = np.sqrt(6.0 / d) / a.omega0
-    layer_w = []
-    for i in range(1, L + 1):
-        bound = 1.0 / (2 * d) if i == 1 else deep
-        layer_w.append(f32(rng.uniform(-bound, bound, a.block_shapes()[f"w{i}"])))
-    out_w = f32(rng.uniform(-deep, deep, (2, d)))
-    scale_w = [f32(rng.uniform(-mod_scale, mod_scale, (d, n))) for _ in range(L)]
-    shift_w = [f32(rng.uniform(-mod_scale, mod_scale, (d, n))) for _ in range(L)]
-
-    zeros = lambda: np.zeros(d, dtype=np.float32)
-    return ModelParams(
-        arch=a,
-        fourier=fourier,
-        layer_w=tuple(layer_w),
-        layer_b=tuple(zeros() for _ in range(L)),
-        scale_w=tuple(scale_w),
-        scale_b=tuple(np.ones(d, dtype=np.float32) for _ in range(L)),
-        shift_w=tuple(shift_w),
-        shift_b=tuple(zeros() for _ in range(L)),
-        out_w=out_w,
-        out_b=np.zeros(2, dtype=np.float32),
-    )
+    for k in layers:
+        bound = 1.0 / (2 * d) if k == 1 else deep
+        blocks[f"w{k}"][...] = rng.uniform(-bound, bound, blocks[f"w{k}"].shape)
+        blocks[f"scale_b{k}"][...] = 1.0
+    blocks["out_w"][...] = rng.uniform(-deep, deep, (2, d))
+    for name in (*(f"scale_w{k}" for k in layers), *(f"shift_w{k}" for k in layers)):
+        blocks[name][...] = rng.uniform(-mod_scale, mod_scale, blocks[name].shape)
+    return ModelParams(a, fourier, vector)
 
 
 @dataclass(frozen=True)
@@ -341,26 +276,25 @@ FORMAT = Container(
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Versioned little-endian binary: header, then parameter blocks as f32."""
+    """Versioned little-endian binary: header, then the Fourier matrix and
+    the flat vector as f32, which is every block in block_shapes() order."""
     a = params.arch
     header = FORMAT.pack(a.hidden_dim, a.num_layers, a.codeword_dim, a.omega0,
                          a.fourier_scale, params.norm_scale)
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (params.fourier, *params.trainable_blocks().values()):
+        for arr in (params.fourier, params.vector):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
     f, body = FORMAT.load(path)
     arch = _arch_of(f)
-    offset = 0
-    loaded = {}
-    for name, shape in arch.block_shapes().items():
-        size = math.prod(shape)
-        loaded[name] = np.frombuffer(body, dtype="<f4", count=size,
-                                     offset=offset).reshape(shape).copy()
-        offset += 4 * size
-        if not np.all(np.isfinite(loaded[name])):
-            raise ValueError(f"{path}: non-finite values in block {name}")
-    return ModelParams.from_blocks(arch, loaded, f["norm_scale"])
+    d = arch.hidden_dim
+    fourier = np.frombuffer(body, dtype="<f4", count=2 * d).astype(np.float32)
+    vector = np.frombuffer(body, dtype="<f4", offset=8 * d).astype(np.float32)
+    if not (np.isfinite(fourier).all() and np.isfinite(vector).all()):
+        blocks = {"fourier": fourier, **arch.split(vector)}
+        name = next(k for k, b in blocks.items() if not np.isfinite(b).all())
+        raise ValueError(f"{path}: non-finite values in block {name}")
+    return ModelParams(arch, fourier.reshape(d, 2), vector, f["norm_scale"])

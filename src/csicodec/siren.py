@@ -105,7 +105,7 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     dtype is overwritten in place and returned; any other tape is left alone
     and a fresh one allocated.
     """
-    a = params.arch
+    a, w = params.arch, params.blocks
     dt = params.fourier.dtype
     w0 = a.omega0
     cw = np.asarray(codewords, dtype=dt)
@@ -124,24 +124,24 @@ def forward_batch(params: ModelParams, codewords: np.ndarray,
     tape.gammas = [film[:, i] for i in range(L)]
     tape.etas = [film[:, L + i] for i in range(L)]
 
-    np.matmul(feats, params.layer_w[0].T, out=tape.first_pre)
-    tape.first_pre += params.layer_b[0]
+    np.matmul(feats, w["w1"].T, out=tape.first_pre)
+    tape.first_pre += w["b1"]
     for i in range(L):
         if i == 0:
             e = tape.first_pre                                 # (C, d_h)
         else:
             e = tape.pre[i]
-            np.matmul(tape.post[i - 1].reshape(B * C, d), params.layer_w[i].T,
+            np.matmul(tape.post[i - 1].reshape(B * C, d), w[f"w{i + 1}"].T,
                       out=e.reshape(B * C, d))
-            e += params.layer_b[i]
+            e += w[f"b{i + 1}"]
         z = tape.phase[i]                   # z = (gamma * e + eta) * omega0
         np.multiply(tape.gammas[i][:, None, :], e, out=z)
         z += tape.etas[i][:, None, :]
         z *= w0
         np.sin(z, out=tape.post[i])
-    np.matmul(tape.post[-1].reshape(B * C, d), params.out_w.T,
+    np.matmul(tape.post[-1].reshape(B * C, d), w["out_w"].T,
               out=tape.outputs.reshape(B * C, 2))
-    tape.outputs += params.out_b
+    tape.outputs += w["out_b"]
     return tape.outputs, tape
 
 
@@ -166,11 +166,13 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
     """Reverse walk over the tape.
 
     Returns (per_sample_loss (B,), grad_codewords (B, n), grad_params or
-    None). Parameter gradients are summed over the batch; codeword gradients
-    stay per sample. The per-sample loss is the coordinate-mean squared
-    error, so the upstream gradient is 2*residual/C.
+    None). grad_params is one vector in the params' flat layout (name its
+    blocks with `arch.split`), each block written in place through its view;
+    it is summed over the batch, while codeword gradients stay per sample.
+    The per-sample loss is the coordinate-mean squared error, so the
+    upstream gradient is 2*residual/C.
     """
-    a = params.arch
+    a, w = params.arch, params.blocks
     dt = tape.outputs.dtype
     B, C, _ = tape.outputs.shape
     t = np.asarray(targets, dtype=dt)
@@ -184,18 +186,20 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
     resid = tape.outputs - t
     G = resid * (2.0 / C)                                  # (B, C, 2)
     d = a.hidden_dim
-    grads = {} if need_params else None
+    grad = np.empty(a.vector_size, dtype=dt) if need_params else None
     if need_params:
-        grads["out_w"] = G.reshape(-1, 2).T @ tape.post[-1].reshape(-1, d)
-        grads["out_b"] = np.add.reduce(G, axis=(0, 1))
+        g = a.split(grad)
+        np.matmul(G.reshape(-1, 2).T, tape.post[-1].reshape(-1, d), out=g["out_w"])
+        np.add.reduce(G, axis=(0, 1), out=g["out_b"])
     if tape.work is None:
         tape.work = (np.empty_like(tape.post[0]), np.empty_like(tape.post[0]))
     # dF turns into du and then dE in place; scratch holds cos(z), then
     # du * e, then the next layer's dF, and the two swap roles.
     dF, scratch = tape.work
-    np.matmul(G.reshape(-1, 2), params.out_w, out=dF.reshape(-1, d))
+    np.matmul(G.reshape(-1, 2), w["out_w"], out=dF.reshape(-1, d))
     grad_cw = np.zeros((B, a.codeword_dim), dtype=dt)
     for i in range(a.num_layers - 1, -1, -1):
+        k = i + 1
         du = dF                                            # du = dF * cos(z) * omega0
         du *= np.cos(tape.phase[i], out=scratch)
         du *= a.omega0
@@ -203,34 +207,34 @@ def backward_batch(tape: ActivationTape, params: ModelParams,
         dgamma = np.add.reduce(np.multiply(du, e, out=scratch), axis=1)   # (B, d_h)
         deta = np.add.reduce(du, axis=1)
         if need_params:
-            grads[f"scale_w{i + 1}"] = dgamma.T @ tape.codewords
-            grads[f"scale_b{i + 1}"] = np.add.reduce(dgamma, axis=0)
-            grads[f"shift_w{i + 1}"] = deta.T @ tape.codewords
-            grads[f"shift_b{i + 1}"] = np.add.reduce(deta, axis=0)
-        grad_cw += dgamma @ params.scale_w[i] + deta @ params.shift_w[i]
+            np.matmul(dgamma.T, tape.codewords, out=g[f"scale_w{k}"])
+            np.add.reduce(dgamma, axis=0, out=g[f"scale_b{k}"])
+            np.matmul(deta.T, tape.codewords, out=g[f"shift_w{k}"])
+            np.add.reduce(deta, axis=0, out=g[f"shift_b{k}"])
+        grad_cw += dgamma @ w[f"scale_w{k}"] + deta @ w[f"shift_w{k}"]
         if i == 0 and not need_params:
             break                       # layer 1's dE feeds only w1 and b1
         dE = du
         dE *= tape.gammas[i][:, None, :]
         if need_params:
             if i == 0:
-                grads["w1"] = np.add.reduce(dE, axis=0).T @ tape.fourier_features
+                np.matmul(np.add.reduce(dE, axis=0).T, tape.fourier_features,
+                          out=g["w1"])
             else:
-                grads[f"w{i + 1}"] = dE.reshape(-1, d).T @ tape.post[i - 1].reshape(-1, d)
-            grads[f"b{i + 1}"] = np.add.reduce(dE, axis=(0, 1))
+                np.matmul(dE.reshape(-1, d).T, tape.post[i - 1].reshape(-1, d),
+                          out=g[f"w{k}"])
+            np.add.reduce(dE, axis=(0, 1), out=g[f"b{k}"])
         if i > 0:
-            np.matmul(dE.reshape(-1, d), params.layer_w[i], out=scratch.reshape(-1, d))
+            np.matmul(dE.reshape(-1, d), w[f"w{k}"], out=scratch.reshape(-1, d))
             dF, scratch = scratch, dE
-    if need_params:
-        grads = {k: grads[k] for k in a.block_shapes() if k != "fourier"}
-    return per_sample, grad_cw, grads
+    return per_sample, grad_cw, grad
 
 
 def _stacked_losses(params: ModelParams, blocks: dict, feats: np.ndarray,
                     targets: np.ndarray) -> np.ndarray:
     """Loss-only forward over stacked copies of the network, for the checker.
 
-    `blocks` holds the trainable_blocks() plus "codeword" (S|1, n). Any one
+    `blocks` holds the params' named blocks plus "codeword" (S|1, n). Any one
     trainable block may carry a leading stack axis of size S instead, with
     the codeword (1, n); everything unstacked broadcasts against the stack.
     Returns the per-sample loss of each copy, shape (S,). No tape and no
@@ -284,13 +288,13 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     feats = fourier_features(p, coords)
 
     out, tape = forward_batch(p, cw[None, :], feats=feats)
-    per_sample, grad_cw, grads = backward_batch(tape, p, t, need_params=True)
-    analytic = {"codeword": grad_cw[0], **grads}
+    per_sample, grad_cw, grad = backward_batch(tape, p, t, need_params=True)
+    analytic = {"codeword": grad_cw[0], **p.arch.split(grad)}
     if not any(np.any(g) for g in analytic.values()):
         raise ValueError("every analytic gradient is exactly 0 (the targets "
                          "are an exact fit, loss 0), so a relative error has "
                          "no scale; check at another point")
-    arrays = {"codeword": cw, **p.trainable_blocks()}
+    arrays = {"codeword": cw, **p.blocks}
     point = {**arrays, "codeword": cw[None, :]}
     # Rounding of the loss scales with the output and target power, which
     # also covers a loss of exactly zero.

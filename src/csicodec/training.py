@@ -12,9 +12,9 @@ Everything is deterministic given the seed: initialization, epoch shuffles,
 and Adam state evolve from fixed streams with no hidden global RNG.
 
 At batch size 1 a step costs as much in calls as in arithmetic, so Adam
-works on the flat layout of the trainable blocks as one vector and one tape
-serves every step of a run. Parameters are never written in place: each
-outer step returns new params.
+works on the params' flat vector, with the gradient in the same layout, and
+one tape serves every step of a run. Parameters are never written in place:
+each outer step returns new params around a new vector.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over the flat layout of the
-    trainable blocks (ModelParams.trainable_vector), and two scratch
-    vectors of the same length that each update works in."""
+    """First/second moment accumulators in the flat layout of the trainable
+    blocks (ModelParams.vector), and two scratch vectors of the same length
+    that each update works in."""
 
     moment1: np.ndarray
     moment2: np.ndarray
@@ -76,7 +76,7 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        flat = params.trainable_vector
+        flat = params.vector
         return cls(moment1=np.zeros_like(flat), moment2=np.zeros_like(flat),
                    scratch=(np.empty_like(flat), np.empty_like(flat)))
 
@@ -152,16 +152,14 @@ def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
 
     The gradient is the sum over the batch of per-sample loss gradients.
     Mutates `adam` in place, returns (new_params, batch_mean_loss); the input
-    params are never modified, and the new params' blocks are views into one
-    new flat-layout vector. A tape that fits the batch is overwritten, as in
-    forward_batch.
+    params are never modified, and the new params hold a new vector. A tape
+    that fits the batch is overwritten, as in forward_batch.
     """
     _, tape = forward_batch(params, codewords, feats=feats, tape=tape)
-    per_sample, _, grads = backward_batch(tape, params, targets, need_params=True)
+    per_sample, _, g = backward_batch(tape, params, targets, need_params=True)
     loss = float(per_sample.mean())
-    g = np.concatenate([block.ravel() for block in grads.values()])
     if not np.isfinite(g).all():
-        name = next(k for k, block in grads.items() if not np.isfinite(block).all())
+        name = next(k for k, b in params.arch.split(g).items() if not np.isfinite(b).all())
         raise TrainingDiverged(f"outer step: non-finite gradient in {name}")
 
     # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2; w - lr*((m/bc1)/(sqrt(v/bc2)+eps)),
@@ -181,7 +179,7 @@ def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
     np.divide(m, bc1, out=step)
     step /= denom
     step *= lr
-    return params.with_vector(params.trainable_vector - step), loss
+    return replace(params, vector=params.vector - step), loss
 
 
 def _mean_nmse_db(params: ModelParams, feats: np.ndarray, planes: np.ndarray,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csicodec.cli import main
+from csicodec.codec import FLAG_UNQUANTIZED, Bitstream, save_bitstream
 from csicodec.dataset import load_dataset, save_dataset
 from csicodec.evaluate import read_report_csv
 from csicodec.model import load_checkpoint
@@ -114,6 +115,40 @@ def test_decode_with_a_non_finite_checkpoint_fails_cleanly(workspace, capsys):
     assert captured.err.startswith(f"error: {bad}: omega0 nan")
 
 
+@pytest.mark.parametrize("index", ["99", "14", "-1"])
+def test_decode_refuses_a_reference_index_outside_the_dataset(workspace, capsys, index):
+    root = workspace["root"]
+    stream = root / "s3.csibit"
+    main(["encode", "--checkpoint", str(workspace["ckpt"]),
+          "--dataset", str(workspace["ds"]), "--out", str(stream),
+          "--inner-steps", "2"])
+    capsys.readouterr()
+    recon = root / f"index{index}.npy"
+    with pytest.raises(SystemExit, match=rf"^reference index {index} outside "
+                       r"dataset of 14$"):
+        main(["decode", "--checkpoint", str(workspace["ckpt"]),
+              "--stream", str(stream), "--out", str(recon),
+              "--reference", str(workspace["ds"]), "--index", index])
+    assert not recon.exists()                  # refused before decoding
+    assert "config " not in capsys.readouterr().out
+
+
+def test_decode_refuses_a_non_finite_unquantized_payload(workspace, capsys):
+    root = workspace["root"]
+    cw = np.array([0.0, np.nan, 0.0, 0.0], dtype="<f4")
+    stream = root / "nan.csibit"
+    save_bitstream(Bitstream(4, 0, FLAG_UNQUANTIZED, bytes(16), cw.tobytes(), 128),
+                   stream)
+    recon = root / "nan.npy"
+    rc = main(["decode", "--checkpoint", str(workspace["ckpt"]),
+               "--stream", str(stream), "--out", str(recon),
+               "--rows", "4", "--cols", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: unquantized payload holds non-finite values\n"
+    assert not recon.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_fails_cleanly(workspace, capsys):
     rc = main(["train", "--dataset", str(workspace["ds"]),
@@ -173,6 +208,17 @@ def test_sweep_command_runs_a_spec(workspace, capsys):
     _, rows = read_report_csv(report)
     assert len(rows) == 2
     assert "swept 2 cells" in capsys.readouterr().out
+    # eval builds its row like the sweep does: the same cell, the same row,
+    # but for the fingerprint of the command that made it
+    eval_csv = root / "cell.csv"
+    assert main(["eval", "--checkpoint", str(workspace["ckpt"]),
+                 "--dataset", str(workspace["ds"]), "--sidecar",
+                 str(workspace["sidecar"]), "--inner-steps", "2",
+                 "--offset", "8", "--count", "4", "--out", str(eval_csv)]) == 0
+    _, (row,) = read_report_csv(eval_csv)
+    swept = next(r for r in rows if r["b"] == 3)
+    assert row.pop("fingerprint") != swept.pop("fingerprint")
+    assert row == swept
 
 
 def test_baseline_svd_reports_nmse(workspace, capsys):

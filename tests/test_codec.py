@@ -277,6 +277,22 @@ def test_decoder_checks_stream_against_the_model():
         decode_codeword(params, q_stream, state4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_unquantized_payload_is_refused(bad):
+    params = make_model()
+    n = ARCH.codeword_dim
+    cw = np.zeros(n, dtype="<f4")
+    cw[1] = bad
+    blob = serialize_bitstream(Bitstream(n, 0, FLAG_UNQUANTIZED, bytes(16),
+                                         cw.tobytes(), 32 * n))
+    stream = parse_bitstream(blob)
+    message = r"^unquantized payload holds non-finite values$"
+    with pytest.raises(ValueError, match=message):
+        decode_codeword(params, stream)
+    with pytest.raises(ValueError, match=message):
+        decode_matrices(params, [stream], GRID)
+
+
 def test_encoding_is_deterministic():
     params = make_model()
     mats = make_matrices(13, count=5)

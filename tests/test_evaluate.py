@@ -10,6 +10,7 @@ from csicodec.channel import half_wavelength_config
 from csicodec.dataset import generate_dataset, save_dataset
 from csicodec.evaluate import (
     SWEEP_COLUMNS,
+    Rates,
     SweepSpec,
     evaluate_model,
     nmse,
@@ -85,8 +86,12 @@ def test_rate_identities():
     assert r.coding_gain == pytest.approx(0.0)
     assert rates(4, None, 128, 4, 4).coding_gain is None
     assert rates(96, None, 32 * 96, 32, 32).cr == pytest.approx(96 / 2048)
+    # an unquantized codeword may be empty; a quantized one may not
+    assert rates(0, None, 0.0, 4, 4) == Rates(cr=0.0, bit_rate=0.0, coding_gain=None)
     with pytest.raises(ValueError):
         rates(0, 2, 8, 4, 4)
+    with pytest.raises(ValueError):
+        rates(-1, None, 8, 4, 4)
     with pytest.raises(ValueError):
         rates(4, 0, 8, 4, 4)
     with pytest.raises(ValueError):
@@ -104,6 +109,7 @@ def test_svd_with_zero_directions_is_the_mean_predictor():
     tr = random_stack(7, count=20)
     te = random_stack(8, count=6)
     report = svd_baseline(tr, te, codeword_dim=0)
+    assert (report.cr, report.bit_rate, report.raw_bits) == (0.0, 0.0, 0)
     flat = np.concatenate([tr.real.reshape(20, -1), tr.imag.reshape(20, -1)],
                           axis=1)
     mean = flat.mean(axis=0)

@@ -62,10 +62,10 @@ def test_dataset_bytes_are_the_documented_layout(files):
 def test_checkpoint_bytes_are_the_documented_layout(files):
     p = files["params"]
     blocks = [p.fourier]
-    for i in range(ARCH.num_layers):
-        blocks += [p.layer_w[i], p.layer_b[i], p.scale_w[i], p.scale_b[i],
-                   p.shift_w[i], p.shift_b[i]]
-    blocks += [p.out_w, p.out_b]
+    for k in range(1, ARCH.num_layers + 1):
+        blocks += [p.blocks[f"{name}{k}"] for name in
+                   ("w", "b", "scale_w", "scale_b", "shift_w", "shift_b")]
+    blocks += [p.blocks["out_w"], p.blocks["out_b"]]
     ref = struct.pack(CKPT_HEADER, b"CSIN", 1, 4, 2, 3, 30.0, 2.0, p.norm_scale)
     ref += b"".join(np.asarray(b, dtype="<f4").tobytes() for b in blocks)
     assert files["m.ckpt"] == ref

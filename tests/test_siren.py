@@ -45,14 +45,10 @@ def test_single_neuron_network_matches_hand_computation():
                       omega0=2.0, fourier_scale=1.0)
     p = init_params(0, arch).cast(np.float64)
     p = dataclasses.replace(p, fourier=np.array([[0.25, -0.5]]))
-    blocks = p.trainable_blocks()
-    blocks["w1"] = np.array([[0.7, -0.3]])
-    blocks["b1"] = np.array([0.1])
-    blocks["scale_w1"] = np.array([[0.4]])
-    blocks["shift_w1"] = np.array([[-0.2]])
-    blocks["out_w"] = np.array([[1.5], [-2.5]])
-    blocks["out_b"] = np.array([0.05, -0.05])
-    p = p.with_blocks(blocks)
+    p = p.with_blocks({"w1": np.array([[0.7, -0.3]]), "b1": np.array([0.1]),
+                       "scale_w1": np.array([[0.4]]), "shift_w1": np.array([[-0.2]]),
+                       "out_w": np.array([[1.5], [-2.5]]),
+                       "out_b": np.array([0.05, -0.05])})
 
     x, y, m = 0.3, -0.8, 0.9
     ang = 2.0 * math.pi * (0.25 * x - 0.5 * y)
@@ -75,11 +71,12 @@ def test_zero_codeword_equals_unmodulated_network():
     out, _ = forward_batch(p, np.zeros((1, ARCH.codeword_dim), np.float32),
                            feats=feats)
 
-    h = feats @ p.layer_w[0].T + p.layer_b[0]
+    w = p.blocks
+    h = feats @ w["w1"].T + w["b1"]
     h = np.sin(h * ARCH.omega0)
-    for i in range(1, ARCH.num_layers):
-        h = np.sin((h @ p.layer_w[i].T + p.layer_b[i]) * ARCH.omega0)
-    plain = h @ p.out_w.T + p.out_b
+    for k in range(2, ARCH.num_layers + 1):
+        h = np.sin((h @ w[f"w{k}"].T + w[f"b{k}"]) * ARCH.omega0)
+    plain = h @ w["out_w"].T + w["out_b"]
     np.testing.assert_array_equal(out[0], plain)
 
 
@@ -101,10 +98,10 @@ def test_perfect_fit_has_zero_gradients():
     p = f64_params()
     cw = np.full((1, ARCH.codeword_dim), 0.3)
     out, tape = forward_batch(p, cw, feats=fourier_features(p, COORDS))
-    loss, grad_cw, grads = backward_batch(tape, p, out.copy(), need_params=True)
+    loss, grad_cw, grad = backward_batch(tape, p, out.copy(), need_params=True)
     assert loss[0] == 0.0
     assert np.all(grad_cw == 0.0)
-    for name, block in grads.items():
+    for name, block in ARCH.split(grad).items():
         assert np.all(block == 0.0), name
 
 
@@ -116,18 +113,18 @@ def test_batch_gradient_is_sum_of_per_sample_gradients():
     feats = fourier_features(p, COORDS)
 
     _, tape = forward_batch(p, cws, feats=feats)
-    per_sample, grad_cw, grads = backward_batch(tape, p, targets,
-                                                need_params=True)
+    per_sample, grad_cw, grad = backward_batch(tape, p, targets,
+                                               need_params=True)
 
-    summed = {name: np.zeros_like(block) for name, block in grads.items()}
+    summed = np.zeros_like(grad)
     for i in range(3):
         _, t = forward_batch(p, cws[i:i + 1], feats=feats)
         loss, g_cw, g = backward_batch(t, p, targets[i:i + 1], need_params=True)
         assert loss[0] == pytest.approx(float(per_sample[i]), rel=1e-12)
         np.testing.assert_allclose(g_cw[0], grad_cw[i], rtol=1e-10,
                                    atol=1e-14)
-        for name in summed:
-            summed[name] += g[name]
+        summed += g
+    grads, summed = ARCH.split(grad), ARCH.split(summed)
     for name in summed:
         np.testing.assert_allclose(grads[name], summed[name], rtol=1e-9,
                                    atol=1e-13, err_msg=name)
@@ -165,7 +162,7 @@ def serial_finite_diff(params, codeword, coords, targets, h=1e-5):
     p = params.cast(np.float64)
     cw = np.asarray(codeword, dtype=np.float64)
     feats = fourier_features(p, coords)
-    blocks = {"codeword": cw, **p.trainable_blocks()}
+    blocks = {"codeword": cw, **p.blocks}
 
     def loss(name, arr):
         moved = {**blocks, name: arr}
@@ -174,8 +171,8 @@ def serial_finite_diff(params, codeword, coords, targets, h=1e-5):
                         targets)
 
     _, tape = forward_batch(p, cw[None], feats=feats)
-    _, grad_cw, grads = backward_batch(tape, p, targets[None], need_params=True)
-    analytic = {"codeword": grad_cw[0], **grads}
+    _, grad_cw, grad = backward_batch(tape, p, targets[None], need_params=True)
+    analytic = {"codeword": grad_cw[0], **p.arch.split(grad)}
     report = {}
     for name, arr in blocks.items():
         numeric = np.empty(arr.size)
@@ -218,10 +215,10 @@ def test_finite_diff_catches_a_wrong_gradient_block(monkeypatch, block):
     real = siren.backward_batch
 
     def corrupted(tape, params, targets, need_params):
-        per_sample, grad_cw, grads = real(tape, params, targets, need_params)
-        g = grad_cw if block == "codeword" else grads[block]
+        per_sample, grad_cw, grad = real(tape, params, targets, need_params)
+        g = grad_cw if block == "codeword" else params.arch.split(grad)[block]
         g.flat[0] += 0.01 * np.abs(g).max()
-        return per_sample, grad_cw, grads
+        return per_sample, grad_cw, grad
 
     monkeypatch.setattr(siren, "backward_batch", corrupted)
     p = f64_params(seed=1)
@@ -274,41 +271,40 @@ def test_forward_backward_is_deterministic():
     out1, tape1 = forward_batch(p, cws, feats=feats)
     out2, tape2 = forward_batch(p, cws, feats=feats)
     np.testing.assert_array_equal(out1, out2)
-    for run1, run2 in ((backward_batch(tape1, p, targets, need_params=True),
-                        backward_batch(tape2, p, targets, need_params=True)),):
-        np.testing.assert_array_equal(run1[1], run2[1])
-        for name in run1[2]:
-            np.testing.assert_array_equal(run1[2][name], run2[2][name])
+    assert_same_gradients(backward_batch(tape1, p, targets, need_params=True),
+                          backward_batch(tape2, p, targets, need_params=True))
 
 
 def reference_forward(params, codewords, feats):
     """Out-of-place forward, kept as the reference for forward_batch's
     in-place loop: every temporary is a fresh array, cos taken up front."""
-    a = params.arch
+    a, w = params.arch, params.blocks
     cw = np.asarray(codewords, dtype=params.fourier.dtype)
-    gammas = [cw @ params.scale_w[i].T + params.scale_b[i] for i in range(a.num_layers)]
-    etas = [cw @ params.shift_w[i].T + params.shift_b[i] for i in range(a.num_layers)]
-    first_pre = feats @ params.layer_w[0].T + params.layer_b[0]
+    layers = range(1, a.num_layers + 1)
+    gammas = [cw @ w[f"scale_w{k}"].T + w[f"scale_b{k}"] for k in layers]
+    etas = [cw @ w[f"shift_w{k}"].T + w[f"shift_b{k}"] for k in layers]
+    first_pre = feats @ w["w1"].T + w["b1"]
     pre, cos_act, post = [first_pre[None, :, :]], [], []
     z = (gammas[0][:, None, :] * first_pre[None, :, :] + etas[0][:, None, :]) * a.omega0
     cos_act.append(np.cos(z))
     post.append(np.sin(z))
     B, C, d = post[0].shape
     for i in range(1, a.num_layers):
-        e = post[i - 1].reshape(B * C, d) @ params.layer_w[i].T
-        e = e.reshape(B, C, d) + params.layer_b[i]
+        e = post[i - 1].reshape(B * C, d) @ w[f"w{i + 1}"].T
+        e = e.reshape(B, C, d) + w[f"b{i + 1}"]
         pre.append(e)
         z = (gammas[i][:, None, :] * e + etas[i][:, None, :]) * a.omega0
         cos_act.append(np.cos(z))
         post.append(np.sin(z))
-    out = (post[-1].reshape(B * C, d) @ params.out_w.T + params.out_b).reshape(B, C, 2)
+    out = (post[-1].reshape(B * C, d) @ w["out_w"].T + w["out_b"]).reshape(B, C, 2)
     return out, dict(cw=cw, feats=feats, pre=pre, cos_act=cos_act, post=post,
                      gammas=gammas, etas=etas)
 
 
 def reference_backward(cache, params, outputs, targets):
-    """Out-of-place backward over reference_forward's cache."""
-    a = params.arch
+    """Out-of-place backward over reference_forward's cache; the parameter
+    gradient comes back as a dict of separately computed blocks."""
+    a, w = params.arch, params.blocks
     B, C, _ = outputs.shape
     d = a.hidden_dim
     diff = outputs.astype(np.float64) - targets.astype(np.float64)
@@ -317,7 +313,7 @@ def reference_backward(cache, params, outputs, targets):
     post = cache["post"]
     grads = {"out_w": G.reshape(-1, 2).T @ post[-1].reshape(-1, d),
              "out_b": G.sum(axis=(0, 1))}
-    dF = (G.reshape(-1, 2) @ params.out_w).reshape(B, C, d)
+    dF = (G.reshape(-1, 2) @ w["out_w"]).reshape(B, C, d)
     grad_cw = np.zeros((B, a.codeword_dim), dtype=outputs.dtype)
     for i in range(a.num_layers - 1, -1, -1):
         du = dF * cache["cos_act"][i] * a.omega0
@@ -327,13 +323,13 @@ def reference_backward(cache, params, outputs, targets):
         grads[f"scale_b{i + 1}"] = dgamma.sum(axis=0)
         grads[f"shift_w{i + 1}"] = deta.T @ cache["cw"]
         grads[f"shift_b{i + 1}"] = deta.sum(axis=0)
-        grad_cw += dgamma @ params.scale_w[i] + deta @ params.shift_w[i]
+        grad_cw += dgamma @ w[f"scale_w{i + 1}"] + deta @ w[f"shift_w{i + 1}"]
         dE = du * cache["gammas"][i][:, None, :]
         if i == 0:
             grads["w1"] = dE.sum(axis=0).T @ cache["feats"]
         else:
             grads[f"w{i + 1}"] = dE.reshape(-1, d).T @ post[i - 1].reshape(-1, d)
-            dF = (dE.reshape(-1, d) @ params.layer_w[i]).reshape(B, C, d)
+            dF = (dE.reshape(-1, d) @ w[f"w{i + 1}"]).reshape(B, C, d)
         grads[f"b{i + 1}"] = dE.sum(axis=(0, 1))
     return per_sample, grad_cw, grads
 
@@ -353,12 +349,9 @@ def film_case(dtype, arch=ARCH, grid=(4, 4), batch=3, seed=0):
 
 
 def assert_same_gradients(run, expected):
-    per_sample, grad_cw, grads = run
-    np.testing.assert_array_equal(per_sample, expected[0])
-    np.testing.assert_array_equal(grad_cw, expected[1])
-    assert grads.keys() == expected[2].keys()
-    for name in grads:
-        np.testing.assert_array_equal(grads[name], expected[2][name], err_msg=name)
+    """Two backward_batch results agree bit for bit."""
+    for got, want in zip(run, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -375,7 +368,13 @@ def test_in_place_loop_is_bit_identical_to_the_reference(dtype, arch, grid, batc
         np.testing.assert_array_equal(tape.gammas[i], cache["gammas"][i])
         np.testing.assert_array_equal(tape.etas[i], cache["etas"][i])
     expected = reference_backward(cache, p, ref_out, targets)
-    assert_same_gradients(backward_batch(tape, p, targets, need_params=True), expected)
+    per_sample, grad_cw, grad = backward_batch(tape, p, targets, need_params=True)
+    np.testing.assert_array_equal(per_sample, expected[0])
+    np.testing.assert_array_equal(grad_cw, expected[1])
+    grads = arch.split(grad)
+    assert grads.keys() == expected[2].keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], expected[2][name], err_msg=name)
     cw_only = backward_batch(tape, p, targets, need_params=False)
     assert cw_only[2] is None
     np.testing.assert_array_equal(cw_only[1], expected[1])
@@ -410,21 +409,23 @@ def test_stacked_modulations_equal_the_per_layer_products(dtype, batch):
     assert p.modulation[0] is M               # built once per params
     film = cws @ M.T + m
     d, L = DESK.hidden_dim, DESK.num_layers
+    w = p.blocks
     for i in range(L):
+        k = i + 1
         np.testing.assert_array_equal(film[:, i * d:(i + 1) * d],
-                                      cws @ p.scale_w[i].T + p.scale_b[i])
+                                      cws @ w[f"scale_w{k}"].T + w[f"scale_b{k}"])
         np.testing.assert_array_equal(film[:, (L + i) * d:(L + i + 1) * d],
-                                      cws @ p.shift_w[i].T + p.shift_b[i])
+                                      cws @ w[f"shift_w{k}"].T + w[f"shift_b{k}"])
 
 
 def test_a_reused_tape_projects_new_first_layer_inputs():
     p, feats, cws, targets = film_case(np.float32)
     _, tape = forward_batch(p, cws, feats=feats)
     other_feats = fourier_features(p, CoordinateGrid(2, 8).flat_coords())
-    blocks = p.trainable_blocks()
+    w = p.blocks
     for params, f in ((p, other_feats),
-                      (p.with_blocks({**blocks, "w1": blocks["w1"] * 1.5}), feats),
-                      (p.with_blocks({**blocks, "b1": blocks["b1"] + 0.25}), feats)):
+                      (p.with_blocks({"w1": w["w1"] * 1.5}), feats),
+                      (p.with_blocks({"b1": w["b1"] + 0.25}), feats)):
         out, again = forward_batch(params, cws, feats=f, tape=tape)
         assert again is tape
         fresh_out, fresh = forward_batch(params, cws, feats=f)

@@ -69,10 +69,9 @@ def test_more_steps_reduce_the_fit_error():
 
 def test_inner_adapt_never_mutates_params():
     params, feats, targets = make_batch(4)
-    before = {k: v.copy() for k, v in params.trainable_blocks().items()}
+    before = params.vector.copy()
     inner_adapt_batch(params, feats, targets, 3, 1e-2)
-    for name, block in params.trainable_blocks().items():
-        np.testing.assert_array_equal(block, before[name])
+    np.testing.assert_array_equal(params.vector, before)
 
 
 def test_inner_adapt_reuses_a_fitting_tape_and_leaves_others_alone():
@@ -104,8 +103,7 @@ def test_outer_step_with_zero_rate_changes_nothing():
     new, loss = outer_step(params, adam, feats, targets, cw, lr=0.0)
     assert loss > 0.0
     assert adam.step == 1
-    for name, block in new.trainable_blocks().items():
-        np.testing.assert_array_equal(block, params.trainable_blocks()[name])
+    np.testing.assert_array_equal(new.vector, params.vector)
 
 
 def test_first_adam_step_moves_each_weight_by_about_lr():
@@ -116,9 +114,9 @@ def test_first_adam_step_moves_each_weight_by_about_lr():
     new, _ = outer_step(params, adam, feats, targets, cw, lr=lr)
 
     _, tape = forward_batch(params, cw, feats=feats)
-    _, _, grads = backward_batch(tape, params, targets, need_params=True)
-    old = params.trainable_blocks()
-    for name, block in new.trainable_blocks().items():
+    _, _, grad = backward_batch(tape, params, targets, need_params=True)
+    grads, old = ARCH.split(grad), params.blocks
+    for name, block in new.blocks.items():
         delta = np.abs(block.astype(np.float64) - old[name].astype(np.float64))
         # weights live in float32, so the applied step rounds at ~1e-7
         assert delta.max() <= lr * (1.0 + 1e-3), name
@@ -131,12 +129,11 @@ def test_outer_step_never_mutates_inputs():
     params, feats, targets = make_batch(7)
     cw = inner_adapt_batch(params, feats, targets, 2, 1e-2)
     cw_before = cw.copy()
-    before = {k: v.copy() for k, v in params.trainable_blocks().items()}
+    before = params.vector.copy()
     adam = AdamState.for_params(params)
     outer_step(params, adam, feats, targets, cw, lr=1e-3)
     np.testing.assert_array_equal(cw, cw_before)
-    for name, block in params.trainable_blocks().items():
-        np.testing.assert_array_equal(block, before[name])
+    np.testing.assert_array_equal(params.vector, before)
 
 
 def test_outer_step_names_the_first_block_with_a_non_finite_gradient(monkeypatch):
@@ -145,11 +142,12 @@ def test_outer_step_names_the_first_block_with_a_non_finite_gradient(monkeypatch
     real = training.backward_batch
 
     def poisoned(tape, params, targets, need_params):
-        per_sample, grad_cw, grads = real(tape, params, targets, need_params)
+        per_sample, grad_cw, grad = real(tape, params, targets, need_params)
         if need_params:
+            grads = ARCH.split(grad)
             grads["shift_w2"][0, 0] = np.nan
             grads["out_b"][1] = np.inf
-        return per_sample, grad_cw, grads
+        return per_sample, grad_cw, grad
 
     monkeypatch.setattr(training, "backward_batch", poisoned)
     adam = AdamState.for_params(params)
@@ -169,11 +167,12 @@ def reference_outer_step(params, moments, feats, targets, codewords, lr):
     """Per-block Adam on fresh arrays, the reference for the flat update.
     `moments` maps block name -> [m, v] and is updated in place."""
     _, tape = forward_batch(params, codewords, feats=feats)
-    per_sample, _, grads = backward_batch(tape, params, targets, need_params=True)
+    per_sample, _, grad = backward_batch(tape, params, targets, need_params=True)
+    grads = params.arch.split(grad)
     moments["step"] = step = moments.get("step", 0) + 1
     bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
     new = {}
-    for name, w in params.trainable_blocks().items():
+    for name, w in params.blocks.items():
         g = grads[name]
         m, v = moments.setdefault(name, [np.zeros_like(w), np.zeros_like(w)])
         m = moments[name][0] = m * 0.9 + (1.0 - 0.9) * g
@@ -214,13 +213,11 @@ def test_training_matches_a_per_block_reference_adam(batch_size):
     assert [loss for _, loss in log.steps] == losses
     expected = after_epoch[log.best_epoch]
     assert log.best_epoch > 0
-    for name, block in params.trainable_blocks().items():
-        np.testing.assert_array_equal(block, expected.trainable_blocks()[name],
-                                      err_msg=name)
+    for name, block in params.blocks.items():
+        np.testing.assert_array_equal(block, expected.blocks[name], err_msg=name)
     # every block is a view into one flat vector, never written in place
-    flat = params.trainable_vector
-    for block in params.trainable_blocks().values():
-        assert np.shares_memory(block, flat)
+    for block in params.blocks.values():
+        assert np.shares_memory(block, params.vector)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -290,8 +287,7 @@ def test_zero_epochs_returns_the_untrained_model():
     cfg = TrainConfig(max_epochs=0, batch_size=4, seed=9, mod_scale=0.5)
     params, log = train(train_ds, val_ds, ARCH, cfg)
     init = init_params(9, ARCH, mod_scale=0.5)
-    for name, block in params.trainable_blocks().items():
-        np.testing.assert_array_equal(block, init.trainable_blocks()[name])
+    np.testing.assert_array_equal(params.vector, init.vector)
     assert params.norm_scale == train_ds.norm_scale
     assert log.steps == [] and log.epochs == []
 
@@ -302,8 +298,7 @@ def test_training_is_deterministic():
                       mod_scale=0.5)
     p1, log1 = train(train_ds, val_ds, ARCH, cfg)
     p2, log2 = train(train_ds, val_ds, ARCH, cfg)
-    for name, block in p1.trainable_blocks().items():
-        np.testing.assert_array_equal(block, p2.trainable_blocks()[name])
+    np.testing.assert_array_equal(p1.vector, p2.vector)
     assert log1.steps == log2.steps
     assert log1.epochs == log2.epochs
     assert log1.best_epoch == log2.best_epoch
