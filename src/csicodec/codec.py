@@ -19,13 +19,17 @@ stack into tiles of at most 16 rows and run them on every CPU in the
 process's affinity mask, with NumPy's OpenBLAS pinned to one thread while
 they run and restored afterwards (util.map_tiles); a stack of one runs
 inline. Each tile writes its own rows of one preallocated result, so the
-output does not depend on the thread count.
+output does not depend on the thread count. Every adaptation takes its
+first inner step in closed form from the zero codeword's outputs and
+Jacobian (siren.zero_start), built once per params and grid, so codec
+codewords differ from training's plain loop in the last bits.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +41,8 @@ from .entropy import (
     pack_symbols,
     unpack_symbols,
 )
-from .model import CoordinateGrid, ModelParams
-from .siren import ActivationTape, forward_batch, fourier_features
+from .model import CoordinateGrid, ModelParams, _read_only
+from .siren import ActivationTape, forward_batch, fourier_features, zero_start
 from .training import inner_adapt_batch
 from .util import BIT_WIDTH, DIM, Container, map_tiles
 
@@ -65,7 +69,8 @@ _NO_DIGEST = bytes(16)
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Per-dimension uniform quantizer: 2^bit_width bins between lower and upper."""
+    """Per-dimension uniform quantizer: 2^bit_width bins between lower and
+    upper, kept as read-only copies (CodecState hashes them once)."""
 
     bit_width: int
     lower: np.ndarray
@@ -74,8 +79,8 @@ class QuantizerConfig:
     def __post_init__(self):
         if not (1 <= self.bit_width <= 16):
             raise ValueError("bit_width must be in 1..16")
-        lo = np.asarray(self.lower, dtype=np.float64)
-        hi = np.asarray(self.upper, dtype=np.float64)
+        lo = _read_only(np.array(self.lower, dtype=np.float64))
+        hi = _read_only(np.array(self.upper, dtype=np.float64))
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("bounds must be matching one-dimensional arrays")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -146,6 +151,10 @@ class CodecState:
             raise ValueError("table alphabet does not match the bit width")
 
     def digest(self) -> bytes:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:     # once per state: its arrays are read-only
         return hashlib.sha256(sidecar_bytes(self)).digest()[:16]
 
 
@@ -228,10 +237,28 @@ def _to_planes(params: ModelParams, matrices: np.ndarray):
     if not np.iscomplexobj(m) or m.ndim != 3:
         raise ValueError("expected complex matrices with shape (count, rows, cols)")
     n_samp, rows, cols = m.shape
+    if n_samp == 0:
+        raise ValueError("empty stack: no channel matrices to encode")
     planes = np.empty((n_samp, rows * cols, 2), dtype=np.float32)
     planes[..., 0] = (m.real / params.norm_scale).reshape(n_samp, -1)
     planes[..., 1] = (m.imag / params.norm_scale).reshape(n_samp, -1)
     return planes, CoordinateGrid(rows, cols)
+
+
+def _grid_values(params: ModelParams, grid: CoordinateGrid, first_step: bool):
+    """The grid's Fourier features and, when first_step, zero_start's
+    (outputs, J) on them. Each is built once per params and grid shape on
+    the calling thread, J with BLAS pinned to one thread as for a tile (at
+    the caller's two threads the desk benchmark's peak RSS read ~3 MB
+    higher), and kept read-only in params.grid_cache."""
+    cache = params.grid_cache.setdefault((grid.num_rows, grid.num_cols), {})
+    if "feats" not in cache:
+        cache["feats"] = _read_only(fourier_features(params, grid.flat_coords()))
+    if first_step and "zero" not in cache:
+        def build(start, stop, carry):      # a tile of one runs inline
+            cache["zero"] = tuple(map(_read_only, zero_start(params, cache["feats"])))
+        map_tiles(build, 1, 1)
+    return cache["feats"], cache["zero"] if first_step else None
 
 
 def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
@@ -239,10 +266,11 @@ def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
     """Inner-loop codewords for a stack of physical channel matrices.
 
     Tiles of at most batch_size matrices adapt in parallel (util.map_tiles);
-    each worker reuses one activation tape across its tiles.
+    each worker reuses one activation tape across its tiles. Step 1 is
+    inner_adapt_batch's closed-form one, from _grid_values' cache.
     """
     planes, grid = _to_planes(params, matrices)
-    feats = fourier_features(params, grid.flat_coords())
+    feats, at_zero = _grid_values(params, grid, inner_steps > 0)
     a, dt = params.arch, params.fourier.dtype
     out = np.empty((planes.shape[0], a.codeword_dim), dtype=dt)
 
@@ -251,7 +279,8 @@ def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
             tape = ActivationTape.empty(stop - start, len(grid), a.hidden_dim,
                                         a.num_layers, dt)
         out[start:stop] = inner_adapt_batch(params, feats, planes[start:stop],
-                                            inner_steps, inner_lr, tape=tape)
+                                            inner_steps, inner_lr, tape=tape,
+                                            at_zero=at_zero)
         return tape
 
     map_tiles(adapt, planes.shape[0], batch_size)
@@ -276,10 +305,9 @@ def _payload_for(symbols: np.ndarray, state: CodecState):
     is not shorter. Keeps every stream at or below codeword_dim * bit_width
     payload bits."""
     coded, coded_bits = entropy_encode(symbols, state.table)
-    raw, raw_bits = pack_symbols(symbols, state.quantizer.bit_width)
-    if coded_bits < raw_bits:
+    if coded_bits < symbols.size * state.quantizer.bit_width:
         return FLAG_ENTROPY, coded, coded_bits
-    return FLAG_RAW, raw, raw_bits
+    return FLAG_RAW, *pack_symbols(symbols, state.quantizer.bit_width)
 
 
 def encode_sample(params: ModelParams, matrix: np.ndarray, inner_steps: int,
@@ -336,8 +364,11 @@ def decode_matrices(params: ModelParams, streams, grid: CoordinateGrid,
     batch_size codewords run through the shared base network in parallel
     (util.map_tiles); each worker reuses one activation tape.
     """
-    cws = np.stack([decode_codeword(params, s, state) for s in streams])
-    feats = fourier_features(params, grid.flat_coords())
+    cws = [decode_codeword(params, s, state) for s in streams]
+    if not cws:
+        raise ValueError("empty stack: no bitstreams to decode")
+    cws = np.stack(cws)
+    feats, _ = _grid_values(params, grid, False)
     out = np.empty((cws.shape[0], len(grid), 2))
 
     def decode(start, stop, tape):
@@ -364,17 +395,13 @@ def encode_dataset(params: ModelParams, matrices: np.ndarray, inner_steps: int,
     """
     cws = adapt_codewords(params, matrices, inner_steps, inner_lr)
     n = params.arch.codeword_dim
-    streams = []
     if state is None:
-        for cw in cws:
-            payload = np.ascontiguousarray(cw, dtype="<f4").tobytes()
-            streams.append(Bitstream(n, 0, FLAG_UNQUANTIZED, _NO_DIGEST,
-                                     payload, 32 * n))
-        return streams
-    digest = state.digest()
+        return [Bitstream(n, 0, FLAG_UNQUANTIZED, _NO_DIGEST,
+                          np.ascontiguousarray(cw, dtype="<f4").tobytes(), 32 * n)
+                for cw in cws]
+    streams, digest = [], state.digest()
     for cw in cws:
-        symbols = quantize(cw, state.quantizer)
-        flags, payload, bits = _payload_for(symbols, state)
+        flags, payload, bits = _payload_for(quantize(cw, state.quantizer), state)
         streams.append(Bitstream(n, state.quantizer.bit_width, flags, digest,
                                  payload, bits))
     return streams

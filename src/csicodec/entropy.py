@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +34,15 @@ class FrequencyTable:
     """Smoothed symbol counts shared by encoder and decoder.
 
     counts[s] >= 1 for every symbol, sum(counts) <= 2^16, and cum holds the
-    strictly increasing cumulative sums with cum[0] = 0.
+    strictly increasing cumulative sums with cum[0] = 0. counts is a read-only
+    copy, so cum (not to be modified) and total are computed once per table.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = np.array(self.counts, dtype=np.int64)
+        c.setflags(write=False)
         if c.ndim != 1 or c.shape[0] < 2:
             raise ValueError("need counts for at least two symbols")
         if np.any(c < 1):
@@ -52,16 +55,13 @@ class FrequencyTable:
     def num_symbols(self) -> int:
         return self.counts.shape[0]
 
-    @property
+    @cached_property
     def total(self) -> int:
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def cum(self) -> list:
-        out = [0]
-        for c in self.counts:
-            out.append(out[-1] + int(c))
-        return out
+        return [0, *np.cumsum(self.counts).tolist()]
 
     def probabilities(self) -> np.ndarray:
         return self.counts / self.total
@@ -91,28 +91,6 @@ def fit_frequency_table(symbols, num_symbols: int) -> FrequencyTable:
     return FrequencyTable(counts)
 
 
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self.cur = 0
-        self.fill = 0
-        self.nbits = 0
-
-    def put(self, bit: int) -> None:
-        self.cur = (self.cur << 1) | bit
-        self.fill += 1
-        self.nbits += 1
-        if self.fill == 8:
-            self.buf.append(self.cur)
-            self.cur = 0
-            self.fill = 0
-
-    def finish(self):
-        if self.fill:
-            self.buf.append(self.cur << (8 - self.fill))
-        return bytes(self.buf), self.nbits
-
-
 def entropy_encode(symbols, table: FrequencyTable):
     """Arithmetic-code a symbol sequence. Returns (payload bytes, bit count)."""
     syms = np.asarray(symbols, dtype=np.int64).ravel()
@@ -120,16 +98,14 @@ def entropy_encode(symbols, table: FrequencyTable):
         raise ValueError("symbol outside the table alphabet")
     cum = table.cum
     total = table.total
-    out = _BitWriter()
+    bits = []
     low, high, pending = 0, _MASK, 0
 
     def emit(bit: int) -> None:
         nonlocal pending
-        out.put(bit)
-        inv = bit ^ 1
-        while pending:
-            out.put(inv)
-            pending -= 1
+        bits.append(bit)
+        bits.extend((bit ^ 1,) * pending)
+        pending = 0
 
     for s in syms:
         span = high - low + 1
@@ -152,7 +128,7 @@ def entropy_encode(symbols, table: FrequencyTable):
             high = (high << 1) | 1
     pending += 1
     emit(0 if low < _QUARTER else 1)
-    return out.finish()
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes(), len(bits)
 
 
 def entropy_decode(payload: bytes, nbits: int, table: FrequencyTable,
@@ -217,23 +193,14 @@ def pack_symbols(symbols, bit_width: int):
         raise ValueError("bit_width must be in 1..16")
     if np.any(syms < 0) or np.any(syms >= (1 << bit_width)):
         raise ValueError("symbol does not fit the bit width")
-    out = _BitWriter()
-    for s in syms:
-        for k in range(bit_width - 1, -1, -1):
-            out.put((int(s) >> k) & 1)
-    return out.finish()
+    bits = (syms[:, None] >> np.arange(bit_width - 1, -1, -1)) & 1
+    return np.packbits(bits.astype(np.uint8)).tobytes(), bits.size
 
 
 def unpack_symbols(payload: bytes, nbits: int, bit_width: int,
                    count: int) -> np.ndarray:
-    if nbits != count * bit_width or nbits > 8 * len(payload):
+    if count < 0 or nbits != count * bit_width or nbits > 8 * len(payload):
         raise ValueError("payload length does not match count * bit_width")
-    out = np.empty(count, dtype=np.int32)
-    pos = 0
-    for k in range(count):
-        v = 0
-        for _ in range(bit_width):
-            v = (v << 1) | ((payload[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        out[k] = v
-    return out
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
+    weights = 1 << np.arange(bit_width - 1, -1, -1)
+    return (bits.reshape(count, bit_width) @ weights).astype(np.int32)

@@ -135,6 +135,9 @@ class ModelParams:
     vector: np.ndarray             # (arch.vector_size,), trainable
     norm_scale: float = 1.0
     blocks: MappingProxyType = field(init=False, repr=False, compare=False)
+    # values derived per coordinate grid, keyed by its shape (codec._grid_values)
+    grid_cache: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     def __post_init__(self):
         shape = self.arch.block_shapes()["fourier"]

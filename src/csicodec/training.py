@@ -3,10 +3,12 @@ base-network updates, validation-driven early stopping.
 
 The inner loop (inner_adapt_batch, the one adapter; the codec calls it too)
 runs a few plain gradient steps on each codeword from zero with the base
-network frozen. The outer loop holds the adapted codewords fixed (first
-order, no differentiation through the inner trajectory) and applies one
-Adam update to the base network from the sum of per-sample gradients, so
-inner and outer updates never touch each other's variables.
+network frozen; the codec takes step 1 in closed form from the zero
+codeword's Jacobian, training keeps the plain step. The outer loop holds
+the adapted codewords fixed (first order, no differentiation through the
+inner trajectory) and applies one Adam update to the base network from
+the sum of per-sample gradients, so inner and outer updates never touch
+each other's variables.
 
 Everything is deterministic given the seed: initialization, epoch shuffles,
 and Adam state evolve from fixed streams with no hidden global RNG.
@@ -121,7 +123,8 @@ def read_train_log(path) -> TrainLog:
 
 def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
                       targets: np.ndarray, steps: int, lr: float,
-                      tape: ActivationTape | None = None) -> np.ndarray:
+                      tape: ActivationTape | None = None,
+                      at_zero: tuple | None = None) -> np.ndarray:
     """Adapt one codeword per target by plain gradient descent from zero.
 
     targets: (B, C, 2). Returns the adapted codewords (B, n). The params are
@@ -130,13 +133,21 @@ def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
     step, so a caller that loops can keep one; any other tape is left alone
     and the steps share a fresh one. Raises TrainingDiverged naming the step
     when a loss, gradient or updated codeword is non-finite.
+
+    at_zero, siren.zero_start's (outputs, J) for these params and feats,
+    makes step 1 one product with J; its codewords then differ from the
+    plain step's in the last bits, so training does not pass it.
     """
     dt = params.fourier.dtype
     cw = np.zeros((targets.shape[0], params.arch.codeword_dim), dtype=dt)
     for j in range(1, steps + 1):
-        _, tape = forward_batch(params, cw, feats=feats, tape=tape)
-        per_sample, grad_cw, _ = backward_batch(tape, params, targets,
-                                                need_params=False)
+        if j == 1 and at_zero is not None:   # G is finite where the loss is
+            G = (at_zero[0] - np.asarray(targets, dt)) * (2.0 / targets.shape[1])
+            per_sample, grad_cw = G, G.reshape(len(G), -1) @ at_zero[1]
+        else:
+            _, tape = forward_batch(params, cw, feats=feats, tape=tape)
+            per_sample, grad_cw, _ = backward_batch(tape, params, targets,
+                                                    need_params=False)
         if not (np.all(np.isfinite(per_sample)) and np.all(np.isfinite(grad_cw))):
             raise TrainingDiverged(f"inner step {j}: non-finite loss or gradient")
         cw = cw - lr * grad_cw

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from csicodec import util
+import hashlib
+from dataclasses import replace
+
+from csicodec import codec, util
 from csicodec.codec import (
     FLAG_ENTROPY,
     FLAG_RAW,
@@ -29,10 +32,11 @@ from csicodec.codec import (
     save_sidecar,
     serialize_bitstream,
 )
-from csicodec.entropy import FrequencyTable
+from csicodec.entropy import FrequencyTable, entropy_encode, pack_symbols
+from csicodec.evaluate import evaluate_model
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
-from csicodec.siren import forward_batch, fourier_features
-from csicodec.training import TrainingDiverged
+from csicodec.siren import forward_batch, fourier_features, zero_start
+from csicodec.training import TrainingDiverged, inner_adapt_batch
 
 ARCH = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
                   omega0=30.0, fourier_scale=2.0)
@@ -367,7 +371,7 @@ def test_a_diverging_tile_raises_and_restores_blas_threads(tile_threads):
     params = make_model()
     mats = make_matrices(17, count=37)
     before = tile_threads.get()
-    with pytest.raises(TrainingDiverged, match="inner step"):
+    with pytest.raises(TrainingDiverged, match="inner step 1: non-finite codeword"):
         adapt_codewords(params, mats, 3, inner_lr=1e40, batch_size=8)
     assert tile_threads.get() == before
 
@@ -376,3 +380,109 @@ def test_state_table_must_cover_the_alphabet():
     q = simple_quantizer(3)
     with pytest.raises(ValueError):
         CodecState(q, FrequencyTable(np.ones(4, dtype=np.int64)))
+
+
+@pytest.fixture
+def jacobians(monkeypatch):
+    """Count the zero-codeword Jacobians the codec builds."""
+    built = []
+
+    def counted(params, feats):
+        built.append(params)
+        return zero_start(params, feats)
+
+    monkeypatch.setattr(codec, "zero_start", counted)
+    return built
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_codec_codewords_agree_with_the_plain_loop_on_a_ragged_stack(steps):
+    params = make_model(3).cast(np.float64)
+    mats = make_matrices(18, count=37)
+    got = adapt_codewords(params, mats, steps)
+    planes, grid = codec._to_planes(params, mats)
+    feats = fourier_features(params, grid.flat_coords())
+    plain = inner_adapt_batch(params, feats, planes, steps, 1e-2)
+    np.testing.assert_allclose(got, plain, rtol=0, atol=1e-13 * np.abs(plain).max())
+
+
+def test_zero_steps_and_empty_stacks_build_no_jacobian(jacobians):
+    params = make_model()
+    mats = make_matrices(19, count=3)
+    np.testing.assert_array_equal(adapt_codewords(params, mats, 0), 0.0)
+    with pytest.raises(ValueError, match="empty stack"):
+        adapt_codewords(params, mats[:0], 3)
+    assert jacobians == []
+    assert all("zero" not in v for v in params.grid_cache.values())
+
+
+def test_the_jacobian_is_built_once_per_params_and_grid(jacobians):
+    params = make_model()
+    mats = make_matrices(20, count=5)
+    streams = encode_dataset(params, mats, 2)
+    assert encode_sample(params, mats[3], 3) == encode_dataset(params, mats[3:4], 3)[0]
+    decode_matrices(params, streams, GRID)
+    assert len(jacobians) == 1 and jacobians[0] is params
+    adapt_codewords(params, np.ones((2, 2, 8), complex), 1)    # another grid
+    other = replace(params, norm_scale=2.0)
+    encode_sample(other, mats[0], 2)
+    encode_sample(other, mats[1], 2)
+    assert len(jacobians) == 3
+    assert jacobians[1] is params and jacobians[2] is other
+
+
+def test_an_empty_stack_is_refused_by_name():
+    params = make_model()
+    empty = np.zeros((0, 4, 4), complex)
+    state = fit_codec_state(params, make_matrices(21), bit_width=3, inner_steps=2)
+    for call in (lambda: adapt_codewords(params, empty, 2),
+                 lambda: encode_dataset(params, empty, 2, state),
+                 lambda: fit_codec_state(params, empty, 3, 2),
+                 lambda: evaluate_model(params, empty, 2, state)):
+        with pytest.raises(ValueError, match="empty stack: no channel matrices"):
+            call()
+    with pytest.raises(ValueError, match="empty stack: no bitstreams"):
+        decode_matrices(params, [], GRID, state)
+
+
+def both_payloads(symbols, state):
+    """The payload choice that packs every message fixed-width as well."""
+    coded, coded_bits = entropy_encode(symbols, state.table)
+    raw, raw_bits = pack_symbols(symbols, state.quantizer.bit_width)
+    if coded_bits < raw_bits:
+        return FLAG_ENTROPY, coded, coded_bits
+    return FLAG_RAW, raw, raw_bits
+
+
+def test_fixed_width_packing_runs_only_on_fallback(monkeypatch):
+    params = make_model()
+    mats = make_matrices(22, count=40)
+    state = fit_codec_state(params, mats[:8], bit_width=3, inner_steps=2)
+    packed = []
+    monkeypatch.setattr(codec, "pack_symbols",
+                        lambda *a: packed.append(a) or pack_symbols(*a))
+    flags = []
+    for cw in adapt_codewords(params, mats, 2):
+        symbols = quantize(cw, state.quantizer)
+        got = _payload_for(symbols, state)
+        assert got == both_payloads(symbols, state)
+        flags.append(got[0])
+    assert FLAG_RAW in flags and FLAG_ENTROPY in flags
+    assert len(packed) == flags.count(FLAG_RAW)
+
+
+def test_the_sidecar_digest_is_hashed_once_per_state(monkeypatch):
+    params = make_model()
+    mats = make_matrices(23, count=4)
+    state = fit_codec_state(params, mats, bit_width=16, inner_steps=2)
+    expected = hashlib.sha256(codec.sidecar_bytes(state)).digest()[:16]
+    assert state.digest() == expected
+    hashed = []
+    monkeypatch.setattr(codec, "sidecar_bytes",
+                        lambda st: hashed.append(st) or b"")
+    streams = encode_dataset(params, mats, 2, state)
+    decode_matrices(params, streams, GRID, state)
+    assert all(s.sidecar_digest == expected for s in streams)
+    assert hashed == []     # not hashed again
+    with pytest.raises(ValueError):     # bounds are read-only copies
+        state.quantizer.lower[0] = 0.0

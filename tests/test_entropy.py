@@ -74,6 +74,30 @@ def test_table_validation():
     assert t.probabilities().sum() == pytest.approx(1.0)
 
 
+def test_a_16_bit_table_derives_its_sums_once():
+    rng = np.random.default_rng(16)
+    t = fit_frequency_table(rng.integers(0, 1 << 16, 4096), 1 << 16)
+    reference = [0]
+    for c in t.counts:
+        reference.append(reference[-1] + int(c))
+    assert t.cum == reference and all(type(c) is int for c in t.cum)
+    assert t.cum is t.cum and t.total == reference[-1]
+    with pytest.raises(ValueError):
+        t.counts[0] = 5                  # the sums stay those of the counts
+    message = rng.integers(0, 1 << 16, 16)
+    payload, nbits = entropy_encode(message, t)
+    again = FrequencyTable(np.array(t.counts))
+    assert entropy_encode(message, again) == (payload, nbits)
+    np.testing.assert_array_equal(entropy_decode(payload, nbits, t, 16), message)
+
+
+def test_a_table_copies_the_callers_counts():
+    counts = np.array([2, 3, 4], dtype=np.int64)
+    t = FrequencyTable(counts)
+    counts[0] = 7
+    assert t.cum == [0, 2, 5, 9]
+
+
 def test_fit_adds_one_to_every_count():
     t = fit_frequency_table(np.array([0, 0, 1]), 3)
     np.testing.assert_array_equal(t.counts, [3, 2, 1])
@@ -116,6 +140,14 @@ def test_decode_rejects_overlong_bit_count():
         entropy_decode(payload, nbits, table, -1)
 
 
+def reference_pack(symbols, bit_width):
+    """Bit-by-bit big-endian packing, last byte zero-padded."""
+    bits = [(s >> k) & 1 for s in symbols for k in range(bit_width - 1, -1, -1)]
+    bits += [0] * (-len(bits) % 8)
+    return bytes(int("".join(map(str, bits[i:i + 8])), 2)
+                 for i in range(0, len(bits), 8))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 16), st.data())
 def test_pack_unpack_is_exact(bit_width, data):
@@ -123,6 +155,7 @@ def test_pack_unpack_is_exact(bit_width, data):
                               min_size=0, max_size=64))
     payload, nbits = pack_symbols(np.array(syms, dtype=np.int64), bit_width)
     assert nbits == len(syms) * bit_width
+    assert payload == reference_pack(syms, bit_width)
     np.testing.assert_array_equal(
         unpack_symbols(payload, nbits, bit_width, len(syms)),
         np.array(syms, dtype=np.int32))

@@ -14,6 +14,7 @@ from csicodec.siren import (
     forward_batch,
     fourier_features,
     loss_mse,
+    zero_start,
 )
 
 ARCH = ArchConfig(hidden_dim=16, num_layers=3, codeword_dim=6,
@@ -473,3 +474,52 @@ def test_forward_validates_inputs():
     with pytest.raises(ValueError, match="feature matrix"):
         forward_batch(p, np.zeros((2, ARCH.codeword_dim)),
                       feats=feats.astype(np.float64))
+
+
+# Criterion 2's network and grid.
+GRADCHECK = ArchConfig(hidden_dim=32, num_layers=3, codeword_dim=8,
+                       omega0=30.0, fourier_scale=2.0)
+
+
+@pytest.mark.parametrize("arch,grid", [(DESK, (16, 16)), (GRADCHECK, (3, 3))])
+def test_zero_start_jacobian_gives_the_codeword_gradient_at_zero(arch, grid):
+    p, feats, _, targets = film_case(np.float64, arch, grid, batch=5, seed=4)
+    outputs, jac = zero_start(p, feats)
+    C = feats.shape[0]
+    assert outputs.shape == (C, 2) and jac.shape == (2 * C, arch.codeword_dim)
+    out, tape = forward_batch(p, np.zeros((5, arch.codeword_dim)), feats=feats)
+    _, grad_cw, _ = backward_batch(tape, p, targets, need_params=False)
+    np.testing.assert_allclose(outputs, out[0], rtol=0, atol=1e-14)
+    G = (outputs - targets) * (2.0 / C)
+    err = np.abs(G.reshape(5, -1) @ jac - grad_cw).max() / np.abs(grad_cw).max()
+    assert err <= 1e-12
+
+
+def test_zero_start_jacobian_columns_match_central_differences():
+    p, feats, _, _ = film_case(np.float64, GRADCHECK, (3, 3))
+    _, jac = zero_start(p, feats)
+    h = 1e-6
+    steps = np.concatenate([np.eye(GRADCHECK.codeword_dim) * h,
+                            np.eye(GRADCHECK.codeword_dim) * -h])
+    out, _ = forward_batch(p, steps, feats=feats)
+    n = GRADCHECK.codeword_dim
+    numeric = ((out[:n] - out[n:]) / (2.0 * h)).reshape(n, -1).T
+    np.testing.assert_allclose(jac, numeric, rtol=0, atol=1e-7 * np.abs(jac).max())
+
+
+def test_zero_start_works_in_layer_sized_buffers():
+    import tracemalloc
+    p, feats, _, _ = film_case(np.float32, DESK, (16, 16))
+    layer = feats.shape[0] * DESK.hidden_dim * 4               # one (C, d_h)
+    # an input and a slope per layer, two tangent buffers and a few
+    # temporaries; nothing of n layers' size
+    budget = (2 * DESK.num_layers + 6) * layer
+    zero_start(p, feats)
+    tracemalloc.start()
+    try:
+        outputs, jac = zero_start(p, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outputs.dtype == jac.dtype == np.float32
+    assert peak < budget

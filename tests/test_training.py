@@ -9,7 +9,7 @@ from csicodec import training, util
 from csicodec.channel import half_wavelength_config
 from csicodec.dataset import generate_dataset
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
-from csicodec.siren import backward_batch, forward_batch, fourier_features
+from csicodec.siren import backward_batch, forward_batch, fourier_features, zero_start
 from csicodec.training import (
     AdamState,
     TrainConfig,
@@ -94,6 +94,32 @@ def test_inner_adapt_reuses_a_fitting_tape_and_leaves_others_alone():
         inner_adapt_batch(params, feats, targets, 3, 1e-2))
     for before, after in zip(kept, other.post):
         np.testing.assert_array_equal(after, before)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_a_precomputed_first_step_agrees_with_the_plain_one(steps):
+    params, feats, targets = make_batch(9, count=5)
+    params = params.cast(np.float64)
+    feats = fourier_features(params, GRID.flat_coords())
+    plain = inner_adapt_batch(params, feats, targets, steps, 1e-2)
+    closed = inner_adapt_batch(params, feats, targets, steps, 1e-2,
+                               at_zero=zero_start(params, feats))
+    np.testing.assert_allclose(closed, plain, rtol=0,
+                               atol=1e-13 * np.abs(plain).max())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_precomputed_first_step_fails_with_the_plain_steps_messages():
+    params, feats, targets = make_batch(10)
+    at_zero = zero_start(params, feats)
+    nan_target = targets.copy()
+    nan_target[1, 2, 0] = np.nan
+    for lr, t, message in ((1e40, targets, "inner step 1: non-finite codeword"),
+                           (1e-2, nan_target,
+                            "inner step 1: non-finite loss or gradient")):
+        for start in (None, at_zero):
+            with pytest.raises(TrainingDiverged, match=message):
+                inner_adapt_batch(params, feats, t, 3, lr, at_zero=start)
 
 
 def test_outer_step_with_zero_rate_changes_nothing():
