@@ -20,10 +20,11 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import TrainConfig, TrainingDiverged, TrainLog, train
+from .training import TrainConfig, TrainLog, train
 from .codec import (
     Bitstream,
     CodecState,
+    TrainingDiverged,
     decode_sample,
     encode_sample,
     fit_codec_state,

@@ -105,10 +105,6 @@ class PathSet:
     def num_paths(self) -> int:
         return self.gains.shape[0]
 
-    def subset(self, indices) -> "PathSet":
-        return PathSet(self.gains[indices], self.delays[indices],
-                       self.phases[indices], self.aods[indices])
-
 
 def steering_vector(theta: float, freq: float, cfg: SystemConfig) -> np.ndarray:
     """Array response for departure angle theta at the given frequency.

@@ -20,7 +20,7 @@ from .channel import half_wavelength_config
 from .model import (ArchConfig, CoordinateGrid, init_params, load_checkpoint,
                     save_checkpoint)
 from .siren import finite_diff_check
-from .training import TrainConfig, TrainingDiverged, train
+from .training import TrainConfig, train
 from .util import config_fingerprint
 
 
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDiverged) as err:
+    except (ValueError, OSError, codec.TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

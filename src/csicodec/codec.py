@@ -1,28 +1,32 @@
-"""Transmitter and receiver chains: codeword fitting, uniform scalar
-quantization, entropy coding, and the feedback bitstream wire format.
+"""Transmitter and receiver chains: the inner loop that fits codewords,
+uniform scalar quantization, entropy coding, and the feedback bitstream wire
+format.
 
 The transmitter adapts a codeword to the channel matrix by a few inner
-gradient steps, quantizes it with per-dimension uniform bins, and entropy
-codes the symbols against a table fitted on training codewords. The
-receiver inverts the chain and reconstructs the channel through the shared
-base network. Both ends must hold the same codec sidecar (quantizer bounds
-plus frequency table); every quantized bitstream carries a digest of the
-sidecar so drift is detected instead of silently decoded.
+gradient steps (inner_adapt_batch, the one adapter; meta-training calls it
+too), quantizes it with per-dimension uniform bins, and entropy codes the
+symbols against a table fitted on training codewords. The receiver inverts
+the chain and reconstructs the channel through the shared base network.
+Both ends must hold the same codec sidecar (quantizer bounds plus frequency
+table); every quantized bitstream carries a digest of the sidecar so drift
+is detected instead of silently decoded.
 
 Channel matrices cross this module's public API in the physical domain;
 normalization by the checkpoint's norm_scale happens internally.
 
 There is one batched path each way: encode_dataset (through
 adapt_codewords) and decode_matrices. The single-message encode_sample and
-decode_sample are their batch-of-one calls. Both batched paths split the
-stack into tiles of at most 16 rows and run them on every CPU in the
+decode_sample are their batch-of-one calls, and training's validation is
+evaluate_model's unquantized round trip through both. Both batched paths
+split the stack into tiles of TILE rows and run them on every CPU in the
 process's affinity mask, with NumPy's OpenBLAS pinned to one thread while
 they run and restored afterwards (util.map_tiles); a stack of one runs
 inline. Each tile writes its own rows of one preallocated result, so the
-output does not depend on the thread count. Every adaptation takes its
-first inner step in closed form from the zero codeword's outputs and
+output does not depend on the thread count. Every codec adaptation takes
+its first inner step in closed form from the zero codeword's outputs and
 Jacobian (siren.zero_start), built once per params and grid, so codec
-codewords differ from training's plain loop in the last bits.
+codewords differ from the plain loop of the training steps in the last
+bits.
 """
 
 from __future__ import annotations
@@ -42,8 +46,13 @@ from .entropy import (
     unpack_symbols,
 )
 from .model import CoordinateGrid, ModelParams, _read_only
-from .siren import ActivationTape, forward_batch, fourier_features, zero_start
-from .training import inner_adapt_batch
+from .siren import (
+    ActivationTape,
+    backward_batch,
+    forward_batch,
+    fourier_features,
+    zero_start,
+)
 from .util import BIT_WIDTH, DIM, Container, map_tiles
 
 FLAG_UNQUANTIZED = 0
@@ -65,6 +74,52 @@ STREAM = Container(
     lambda f: (f["payload_bits"] + 7) // 8)
 
 _NO_DIGEST = bytes(16)
+
+# Rows per tile of every batched path, so a 16-sample validation split still
+# runs as two parallel tiles. Each worker's activation tape holds one tile:
+# at the desk shape, 8 rows in place of 16 lowered every benchmark
+# workload's peak RSS by ~16 MB (2 vCPUs), with eval-batch throughput the
+# same within run-to-run spread.
+TILE = 8
+
+
+class TrainingDiverged(RuntimeError):
+    """Raised when a loss or gradient goes non-finite; names the step."""
+
+
+def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
+                      targets: np.ndarray, steps: int, lr: float,
+                      tape: ActivationTape | None = None,
+                      at_zero: tuple | None = None) -> np.ndarray:
+    """Adapt one codeword per target by plain gradient descent from zero.
+
+    targets: (B, C, 2). Returns the adapted codewords (B, n). The params are
+    read only; steps = 0 returns all-zero codewords without any evaluation.
+    A tape that fits the batch (as in forward_batch) is overwritten by every
+    step, so a caller that loops can keep one; any other tape is left alone
+    and the steps share a fresh one. Raises TrainingDiverged naming the step
+    when a loss, gradient or updated codeword is non-finite.
+
+    at_zero, siren.zero_start's (outputs, J) for these params and feats,
+    makes step 1 one product with J; its codewords then differ from the
+    plain step's in the last bits, so the training steps do not pass it.
+    """
+    dt = params.fourier.dtype
+    cw = np.zeros((targets.shape[0], params.arch.codeword_dim), dtype=dt)
+    for j in range(1, steps + 1):
+        if j == 1 and at_zero is not None:   # G is finite where the loss is
+            G = (at_zero[0] - np.asarray(targets, dt)) * (2.0 / targets.shape[1])
+            per_sample, grad_cw = G, G.reshape(len(G), -1) @ at_zero[1]
+        else:
+            _, tape = forward_batch(params, cw, feats=feats, tape=tape)
+            per_sample, grad_cw, _ = backward_batch(tape, params, targets,
+                                                    need_params=False)
+        if not (np.all(np.isfinite(per_sample)) and np.all(np.isfinite(grad_cw))):
+            raise TrainingDiverged(f"inner step {j}: non-finite loss or gradient")
+        cw = cw - lr * grad_cw
+        if not np.all(np.isfinite(cw)):
+            raise TrainingDiverged(f"inner step {j}: non-finite codeword")
+    return cw
 
 
 @dataclass(frozen=True)
@@ -262,10 +317,10 @@ def _grid_values(params: ModelParams, grid: CoordinateGrid, first_step: bool):
 
 
 def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
-                    inner_lr: float = 1e-2, batch_size: int = 16) -> np.ndarray:
+                    inner_lr: float = 1e-2) -> np.ndarray:
     """Inner-loop codewords for a stack of physical channel matrices.
 
-    Tiles of at most batch_size matrices adapt in parallel (util.map_tiles);
+    Tiles of at most TILE matrices adapt in parallel (util.map_tiles);
     each worker reuses one activation tape across its tiles. Step 1 is
     inner_adapt_batch's closed-form one, from _grid_values' cache.
     """
@@ -283,7 +338,7 @@ def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
                                             at_zero=at_zero)
         return tape
 
-    map_tiles(adapt, planes.shape[0], batch_size)
+    map_tiles(adapt, planes.shape[0], TILE)
     return out
 
 
@@ -356,12 +411,11 @@ def decode_sample(params: ModelParams, stream: Bitstream, grid: CoordinateGrid,
 
 
 def decode_matrices(params: ModelParams, streams, grid: CoordinateGrid,
-                    state: CodecState | None = None,
-                    batch_size: int = 16) -> np.ndarray:
+                    state: CodecState | None = None) -> np.ndarray:
     """Receiver chain: bitstreams to physical complex matrices (N, R, C).
 
-    Each codeword is recovered from its stream, then tiles of at most
-    batch_size codewords run through the shared base network in parallel
+    Each codeword is recovered from its stream, then tiles of at most TILE
+    codewords run through the shared base network in parallel
     (util.map_tiles); each worker reuses one activation tape.
     """
     cws = [decode_codeword(params, s, state) for s in streams]
@@ -377,7 +431,7 @@ def decode_matrices(params: ModelParams, streams, grid: CoordinateGrid,
         out[start:stop] = batch
         return tape
 
-    map_tiles(decode, cws.shape[0], batch_size)
+    map_tiles(decode, cws.shape[0], TILE)
     re = out[..., 0].reshape(-1, grid.num_rows, grid.num_cols)
     im = out[..., 1].reshape(-1, grid.num_rows, grid.num_cols)
     return (re + 1j * im) * params.norm_scale

@@ -63,9 +63,6 @@ class FrequencyTable:
     def cum(self) -> list:
         return [0, *np.cumsum(self.counts).tolist()]
 
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.total
-
 
 def fit_frequency_table(symbols, num_symbols: int) -> FrequencyTable:
     """Pooled Laplace-smoothed counts, renormalized to total <= 2^16.

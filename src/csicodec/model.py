@@ -249,19 +249,6 @@ class CoordinateGrid:
         rr, cc = np.meshgrid(r, c, indexing="ij")
         return np.stack([rr.ravel(), cc.ravel()], axis=1)
 
-    def locate(self, coords: np.ndarray) -> np.ndarray:
-        """Inverse mapping: normalized pairs back to 1-based (i, j) indices."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        out = np.empty(coords.shape, dtype=np.int64)
-        for axis, count in enumerate((self.num_rows, self.num_cols)):
-            v = coords[:, axis]
-            idx = np.ones(v.shape, dtype=np.int64) if count == 1 \
-                else np.rint((v + 1.0) * (count - 1) / 2.0).astype(np.int64) + 1
-            if np.any(idx < 1) or np.any(idx > count):
-                raise ValueError("coordinate outside the grid")
-            out[:, axis] = idx
-        return out
-
 
 def _arch_of(fields: dict) -> ArchConfig:
     return ArchConfig(fields["hidden_dim"], fields["num_layers"],

@@ -1,14 +1,15 @@
 """Meta-training: batched inner-loop codeword descent, batched outer-loop
 base-network updates, validation-driven early stopping.
 
-The inner loop (inner_adapt_batch, the one adapter; the codec calls it too)
-runs a few plain gradient steps on each codeword from zero with the base
-network frozen; the codec takes step 1 in closed form from the zero
-codeword's Jacobian, training keeps the plain step. The outer loop holds
-the adapted codewords fixed (first order, no differentiation through the
-inner trajectory) and applies one Adam update to the base network from
-the sum of per-sample gradients, so inner and outer updates never touch
-each other's variables.
+The inner loop is the codec's (codec.inner_adapt_batch): a few plain
+gradient steps on each codeword from zero with the base network frozen.
+The training steps keep the plain first step, since their params change on
+every step. The outer loop holds the adapted codewords fixed (first order,
+no differentiation through the inner trajectory) and applies one Adam
+update to the base network from the sum of per-sample gradients, so inner
+and outer updates never touch each other's variables. Validation is the
+codec's own number: evaluate_model's unquantized round trip over the
+validation split, with the codec's tiles and closed-form first step.
 
 Everything is deterministic given the seed: initialization, epoch shuffles,
 and Adam state evolve from fixed streams with no hidden global RNG.
@@ -21,25 +22,17 @@ each outer step returns new params around a new vector.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .codec import TrainingDiverged, inner_adapt_batch
 from .dataset import Dataset
+from .evaluate import evaluate_model
 from .model import DEFAULT_MOD_SCALE, ArchConfig, CoordinateGrid, ModelParams, init_params
 from .siren import ActivationTape, backward_batch, forward_batch, fourier_features
-from .util import map_tiles
-
-# Samples per validation tile, whatever the batch size or CPU count, so the
-# validation NMSE depends on neither. At batch size 1 a sample's three
-# inner steps and decode cost 2.56 ms alone, 1.85 ms in a tile of 8 and
-# 2.10 ms in a tile of 16 (one thread, desk shape).
-VALIDATION_TILE = 8
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient goes non-finite; names the step."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +49,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.inner_steps < 0:
             raise ValueError("inner_steps must be >= 0")
-        if self.inner_lr <= 0 or self.outer_lr < 0:
-            raise ValueError("learning rates must be positive (outer may be 0)")
+        if not (0 < self.inner_lr < math.inf and 0 <= self.outer_lr < math.inf):
+            raise ValueError("learning rates must be finite and positive (outer may be 0)")
+        if not 0 < self.mod_scale < math.inf:
+            raise ValueError("mod_scale must be finite and positive")
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
             raise ValueError("batch_size, patience must be >= 1; max_epochs >= 0")
 
@@ -121,41 +116,6 @@ def read_train_log(path) -> TrainLog:
     return log
 
 
-def inner_adapt_batch(params: ModelParams, feats: np.ndarray,
-                      targets: np.ndarray, steps: int, lr: float,
-                      tape: ActivationTape | None = None,
-                      at_zero: tuple | None = None) -> np.ndarray:
-    """Adapt one codeword per target by plain gradient descent from zero.
-
-    targets: (B, C, 2). Returns the adapted codewords (B, n). The params are
-    read only; steps = 0 returns all-zero codewords without any evaluation.
-    A tape that fits the batch (as in forward_batch) is overwritten by every
-    step, so a caller that loops can keep one; any other tape is left alone
-    and the steps share a fresh one. Raises TrainingDiverged naming the step
-    when a loss, gradient or updated codeword is non-finite.
-
-    at_zero, siren.zero_start's (outputs, J) for these params and feats,
-    makes step 1 one product with J; its codewords then differ from the
-    plain step's in the last bits, so training does not pass it.
-    """
-    dt = params.fourier.dtype
-    cw = np.zeros((targets.shape[0], params.arch.codeword_dim), dtype=dt)
-    for j in range(1, steps + 1):
-        if j == 1 and at_zero is not None:   # G is finite where the loss is
-            G = (at_zero[0] - np.asarray(targets, dt)) * (2.0 / targets.shape[1])
-            per_sample, grad_cw = G, G.reshape(len(G), -1) @ at_zero[1]
-        else:
-            _, tape = forward_batch(params, cw, feats=feats, tape=tape)
-            per_sample, grad_cw, _ = backward_batch(tape, params, targets,
-                                                    need_params=False)
-        if not (np.all(np.isfinite(per_sample)) and np.all(np.isfinite(grad_cw))):
-            raise TrainingDiverged(f"inner step {j}: non-finite loss or gradient")
-        cw = cw - lr * grad_cw
-        if not np.all(np.isfinite(cw)):
-            raise TrainingDiverged(f"inner step {j}: non-finite codeword")
-    return cw
-
-
 def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
                targets: np.ndarray, codewords: np.ndarray, lr: float,
                tape: ActivationTape | None = None):
@@ -193,46 +153,14 @@ def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
     return replace(params, vector=params.vector - step), loss
 
 
-def _mean_nmse_db(params: ModelParams, feats: np.ndarray, planes: np.ndarray,
-                  cfg: TrainConfig) -> float:
-    """Mean of per-sample error ratios, in dB, after inner adaptation.
-
-    Same mean-of-ratios definition as the evaluation module's nmse();
-    duplicated here in four lines to keep training free of that dependency.
-    Tiles of VALIDATION_TILE samples adapt and decode in parallel
-    (util.map_tiles), each worker reusing one tape; every tile writes its
-    ratios into one vector, averaged in sample order.
-    """
-    a, dt = params.arch, params.fourier.dtype
-    ratios = np.empty(planes.shape[0])
-
-    def validate(start, stop, tape):
-        t = planes[start:stop]
-        if tape is None or not tape.fits(stop - start, t.shape[1], a.hidden_dim,
-                                         a.num_layers, dt):
-            tape = ActivationTape.empty(stop - start, t.shape[1], a.hidden_dim,
-                                        a.num_layers, dt)
-        cw = inner_adapt_batch(params, feats, t, cfg.inner_steps, cfg.inner_lr,
-                               tape=tape)
-        out, tape = forward_batch(params, cw, feats=feats, tape=tape)
-        diff = out.astype(np.float64) - t.astype(np.float64)
-        num = np.sum(diff ** 2, axis=(1, 2))
-        den = np.sum(t.astype(np.float64) ** 2, axis=(1, 2))
-        if np.any(den == 0):
-            raise ValueError("zero-power validation sample")
-        ratios[start:stop] = num / den
-        return tape
-
-    map_tiles(validate, planes.shape[0], VALIDATION_TILE)
-    return float(10.0 * np.log10(np.mean(ratios)))
-
-
-def _validate(params: ModelParams, feats: np.ndarray, planes: np.ndarray,
-              cfg: TrainConfig, epoch: int) -> float:
-    """Validation NMSE in dB; raises TrainingDiverged naming the epoch when
-    the inner loop diverges or the result is not finite."""
+def _validate(params: ModelParams, matrices: np.ndarray, cfg: TrainConfig,
+              epoch: int) -> float:
+    """Validation NMSE in dB: the codec's unquantized round trip over the
+    physical validation matrices. Raises TrainingDiverged naming the epoch
+    when the inner loop diverges or the result is not finite."""
     try:
-        val = _mean_nmse_db(params, feats, planes, cfg)
+        val = evaluate_model(params, matrices, cfg.inner_steps, None,
+                             cfg.inner_lr).nmse_db
     except TrainingDiverged as err:
         raise TrainingDiverged(f"epoch {epoch}, validation: {err}") from err
     if not np.isfinite(val):
@@ -254,6 +182,8 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
     if (train_ds.num_antennas, train_ds.num_subcarriers) != \
             (val_ds.num_antennas, val_ds.num_subcarriers):
         raise ValueError("train and validation grids differ")
+    if len(train_ds) == 0:
+        raise ValueError("the training split is empty")
     if len(val_ds) == 0:
         raise ValueError("the validation split is empty")
     started = time.perf_counter()
@@ -267,11 +197,11 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
     feats = fourier_features(params, grid.flat_coords())
     count = len(train_ds)
     train_planes = train_ds.planes.reshape(count, len(grid), 2)
-    val_planes = val_ds.planes.reshape(len(val_ds), len(grid), 2)
+    val_matrices = val_ds.matrices(denormalise=True)
 
     tapes = {}    # batch size -> the tape all its steps share
     adam = AdamState.for_params(params)
-    val0 = _validate(params, feats, val_planes, cfg, 0)
+    val0 = _validate(params, val_matrices, cfg, 0)
     log.epochs.append((0, val0))
     best_val, best_params, best_epoch = val0, params, 0
     since_best = 0
@@ -296,7 +226,7 @@ def train(train_ds: Dataset, val_ds: Dataset, arch: ArchConfig,
                     f"epoch {epoch}, outer step {step + 1}: {err}") from err
             step += 1
             log.steps.append((step, loss))
-        val = _validate(params, feats, val_planes, cfg, epoch)
+        val = _validate(params, val_matrices, cfg, epoch)
         log.epochs.append((epoch, val))
         if val < best_val:
             best_val, best_params, best_epoch = val, params, epoch

@@ -112,7 +112,8 @@ def test_paths_superpose_linearly():
     # H(A u B) = H(A) + H(B): the sum over paths is the only coupling
     cfg = half_wavelength_config(num_antennas=5, num_subcarriers=7, num_paths=6)
     paths = random_paths(np.random.default_rng(105), 6)
-    first, second = paths.subset(range(0, 2)), paths.subset(range(2, 6))
+    first = PathSet(paths.gains[:2], paths.delays[:2], paths.phases[:2], paths.aods[:2])
+    second = PathSet(paths.gains[2:], paths.delays[2:], paths.phases[2:], paths.aods[2:])
     total = channel_matrix(first, cfg) + channel_matrix(second, cfg)
     np.testing.assert_allclose(channel_matrix(paths, cfg), total, atol=1e-13)
 

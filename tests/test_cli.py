@@ -162,6 +162,17 @@ def test_diverged_training_fails_cleanly(workspace, capsys):
     assert not (workspace["root"] / "diverged.ckpt").exists()
 
 
+def test_train_with_a_nan_mod_scale_fails_cleanly(workspace, capsys):
+    rc = main(["train", "--dataset", str(workspace["ds"]),
+               "--out", str(workspace["root"] / "nan-scale.ckpt"),
+               "--train-count", "8", "--val-count", "4", "--batch-size", "4",
+               "--epochs", "1", "--mod-scale", "nan", "--seed", "1", *ARCH_ARGS])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: mod_scale must be finite")
+    assert not (workspace["root"] / "nan-scale.ckpt").exists()
+
+
 def test_train_on_a_non_finite_dataset_fails_cleanly(workspace, capsys):
     ds = load_dataset(workspace["ds"])
     planes = ds.planes[:4].copy()

@@ -14,6 +14,7 @@ from csicodec.codec import (
     Bitstream,
     CodecState,
     QuantizerConfig,
+    TrainingDiverged,
     _payload_for,
     adapt_codewords,
     decode_codeword,
@@ -24,6 +25,7 @@ from csicodec.codec import (
     encode_sample,
     fit_codec_state,
     fit_quantizer,
+    inner_adapt_batch,
     load_bitstream,
     load_sidecar,
     parse_bitstream,
@@ -36,7 +38,6 @@ from csicodec.entropy import FrequencyTable, entropy_encode, pack_symbols
 from csicodec.evaluate import evaluate_model
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
 from csicodec.siren import forward_batch, fourier_features, zero_start
-from csicodec.training import TrainingDiverged, inner_adapt_batch
 
 ARCH = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
                   omega0=30.0, fourier_scale=2.0)
@@ -308,12 +309,13 @@ def test_encoding_is_deterministic():
     assert a == b
 
 
-def test_batched_decode_matches_per_sample_decode():
+def test_batched_decode_matches_per_sample_decode(monkeypatch):
     params = make_model()
     mats = make_matrices(14, count=5)
     state = fit_codec_state(params, mats, bit_width=6, inner_steps=2)
     streams = encode_dataset(params, mats, 2, state)
-    batched = decode_matrices(params, streams, GRID, state, batch_size=2)
+    monkeypatch.setattr(codec, "TILE", 2)
+    batched = decode_matrices(params, streams, GRID, state)
     singles = np.stack([decode_sample(params, s, GRID, state)
                         for s in streams])
     np.testing.assert_allclose(batched, singles, atol=1e-6)
@@ -350,10 +352,11 @@ def test_tiles_give_the_same_arrays_on_any_thread_count(count, tile_threads,
     mats = make_matrices(16, count=count)
     state = fit_codec_state(params, mats, bit_width=4, inner_steps=2)
     streams = encode_dataset(params, mats, 2, state)
+    monkeypatch.setattr(codec, "TILE", 8)
 
     def run():
-        return (adapt_codewords(params, mats, 2, batch_size=8),
-                decode_matrices(params, streams, GRID, state, batch_size=8))
+        return (adapt_codewords(params, mats, 2),
+                decode_matrices(params, streams, GRID, state))
 
     parallel = run()
     monkeypatch.setattr(util, "_cpu_count", lambda: 1)
@@ -367,12 +370,13 @@ def test_tiles_give_the_same_arrays_on_any_thread_count(count, tile_threads,
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_diverging_tile_raises_and_restores_blas_threads(tile_threads):
+def test_a_diverging_tile_raises_and_restores_blas_threads(tile_threads, monkeypatch):
     params = make_model()
     mats = make_matrices(17, count=37)
     before = tile_threads.get()
+    monkeypatch.setattr(codec, "TILE", 8)
     with pytest.raises(TrainingDiverged, match="inner step 1: non-finite codeword"):
-        adapt_codewords(params, mats, 3, inner_lr=1e40, batch_size=8)
+        adapt_codewords(params, mats, 3, inner_lr=1e40)
     assert tile_threads.get() == before
 
 

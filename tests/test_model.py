@@ -42,16 +42,6 @@ def test_grid_coords_cover_unit_square():
     assert xy[0, 1] == -1.0 and xy[-1, 1] == 1.0
 
 
-def test_grid_locate_inverts_flat_coords():
-    grid = CoordinateGrid(7, 3)
-    xy = grid.flat_coords()
-    ij = grid.locate(xy)
-    expected = np.stack([np.arange(21) // 3 + 1, np.arange(21) % 3 + 1], axis=1)
-    np.testing.assert_array_equal(ij, expected)
-    with pytest.raises(ValueError):
-        grid.locate(np.array([1.5, 0.0]))
-
-
 def test_degenerate_axis_maps_to_zero():
     xy = CoordinateGrid(1, 4).flat_coords()
     assert np.all(xy[:, 0] == 0.0)

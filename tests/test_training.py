@@ -1,5 +1,6 @@
 """Inner-loop adaptation, Adam outer updates, and the training driver."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,15 +8,15 @@ import pytest
 
 from csicodec import training, util
 from csicodec.channel import half_wavelength_config
+from csicodec.codec import TrainingDiverged, inner_adapt_batch
 from csicodec.dataset import generate_dataset
+from csicodec.evaluate import evaluate_model
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
 from csicodec.siren import backward_batch, forward_batch, fourier_features, zero_start
 from csicodec.training import (
     AdamState,
     TrainConfig,
-    TrainingDiverged,
     TrainLog,
-    inner_adapt_batch,
     outer_step,
     read_train_log,
     train,
@@ -275,37 +276,33 @@ def test_training_steps_keep_the_callers_blas_threads(monkeypatch, tile_threads)
         tile_threads.set(prior)
 
 
-def serial_validation_nmse_db(params, feats, planes, cfg, tile=8):
-    """Reference for validation: tiles of `tile` samples, one after another,
-    each on a fresh tape."""
-    ratios = []
-    for start in range(0, len(planes), tile):
-        t = planes[start:start + tile]
-        cw = inner_adapt_batch(params, feats, t, cfg.inner_steps, cfg.inner_lr)
-        out, _ = forward_batch(params, cw, feats=feats)
-        diff = out.astype(np.float64) - t.astype(np.float64)
-        ratios.append(np.sum(diff ** 2, axis=(1, 2))
-                      / np.sum(t.astype(np.float64) ** 2, axis=(1, 2)))
-    return float(10.0 * np.log10(np.mean(np.concatenate(ratios))))
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_validation_equals_a_serial_loop_over_tiles_of_eight(monkeypatch,
-                                                             tile_threads, workers):
-    monkeypatch.setattr(util, "_cpu_count", lambda: workers)
-    params, feats, planes = make_batch(9, count=21)     # tiles of 8, 8 and 5
-    assert training.VALIDATION_TILE == 8
-    for batch_size in (1, 4, 64):
-        cfg = TrainConfig(inner_steps=2, batch_size=batch_size)
-        assert training._mean_nmse_db(params, feats, planes, cfg) == \
-            serial_validation_nmse_db(params, feats, planes, cfg)
-
-
 def tiny_splits():
     cfg = half_wavelength_config(num_antennas=4, num_subcarriers=4,
                                  num_paths=2)
     ds = generate_dataset(12, 3, cfg)
     return ds.slice(0, 8), ds.slice(8, 12)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_validation_is_the_codecs_unquantized_round_trip(monkeypatch, tile_threads,
+                                                        workers):
+    # epoch 0's entry is evaluate_model on the untrained params with the
+    # training split's norm_scale; a validation set from another dataset,
+    # with its own norm_scale, enters as physical matrices in 3 tiles
+    monkeypatch.setattr(util, "_cpu_count", lambda: workers)
+    train_ds, _ = tiny_splits()
+    val_ds = generate_dataset(21, 11, half_wavelength_config(
+        num_antennas=4, num_subcarriers=4, num_paths=2))
+    assert val_ds.norm_scale != train_ds.norm_scale
+    for batch_size in (1, 4):
+        cfg = TrainConfig(max_epochs=1, inner_steps=2, batch_size=batch_size,
+                          seed=5, mod_scale=0.5)
+        _, log = train(train_ds, val_ds, ARCH, cfg)
+        params = replace(init_params(cfg.seed, ARCH, cfg.mod_scale),
+                         norm_scale=train_ds.norm_scale)
+        report = evaluate_model(params, val_ds.matrices(denormalise=True),
+                                cfg.inner_steps, None, cfg.inner_lr)
+        assert log.epochs[0] == (0, report.nmse_db)
 
 
 def test_zero_epochs_returns_the_untrained_model():
@@ -377,6 +374,12 @@ def test_an_empty_validation_split_is_rejected():
         train(train_ds, val_ds.slice(0, 0), ARCH, TrainConfig(max_epochs=1, batch_size=4))
 
 
+def test_an_empty_training_split_is_rejected():
+    train_ds, val_ds = tiny_splits()
+    with pytest.raises(ValueError, match="training split is empty"):
+        train(train_ds.slice(0, 0), val_ds, ARCH, TrainConfig(max_epochs=1, batch_size=4))
+
+
 def test_log_csv_round_trip(tmp_path):
     log = TrainLog(steps=[(1, 0.52), (2, 0.1875)],
                    epochs=[(0, -0.125), (1, -2.5)],
@@ -399,3 +402,10 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(inner_lr=0.0)
+    for bad in (math.nan, math.inf):
+        for field in ("inner_lr", "outer_lr"):
+            with pytest.raises(ValueError, match="learning rates"):
+                TrainConfig(**{field: bad})
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="mod_scale"):
+            TrainConfig(mod_scale=bad)
