@@ -12,7 +12,8 @@ The fixed Fourier matrix gets no gradient. A central finite-difference
 checker validates every block: it moves many scalars of one block at once,
 as stacked copies of that block, through a private loss-only float64 pass
 that first has to reproduce `forward_batch`'s loss, so the check costs a few
-dozen batched passes instead of two forward calls per scalar.
+dozen batched passes instead of two forward calls per scalar. The passes
+run in tiles on every CPU, and the report has the same bits on any count.
 
 The sine-layer loop works in place: bias, FiLM and sin write into the
 tape's own (B, C, d_h) arrays, and backward works in two scratch buffers
@@ -46,6 +47,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .util import map_tiles
 
 if TYPE_CHECKING:
     from .model import ModelParams
@@ -299,8 +302,10 @@ def _stacked_losses(params: ModelParams, blocks: dict, feats: np.ndarray,
     return _per_sample_loss(out, targets)
 
 
-# Memory for the stacked copies of one block, plus their activations, per
-# batched loss pass of the checker.
+# Memory for the stacked copies, plus their activations, of one tile of the
+# checker's loss passes; a tile runs per CPU, so up to one budget per CPU is
+# in flight. Chunk sizes follow from it alone, never from the CPU count, so
+# a report does not depend on the machine.
 _FD_STACK_BYTES = 4 << 20
 
 
@@ -320,21 +325,36 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     The difference quotients are batched: for K scalars of one block at a
     time, 2K copies of that block (each with one scalar moved by +h or -h)
     go through one loss-only pass, with every other block shared. K is set
-    so the copies stay within a few MB.
+    so the copies stay within `_FD_STACK_BYTES`. Consecutive passes share a
+    tile up to that budget, and the tiles run on every CPU (util.map_tiles),
+    each pass writing only its own slice of the numeric gradient, so the
+    report has the same bits on any number of CPUs. A check that fits one
+    budget is one tile and runs inline.
 
-    Raises ValueError at a point where every analytic gradient is exactly 0
-    (targets equal to the network's own outputs): the error of each block
+    Raises ValueError for a step h that is not finite and positive, for a
+    non-finite codeword or targets, for targets not (len(coords), 2), for a
+    non-finite loss, and at a point where every analytic gradient is exactly
+    0 (targets equal to the network's own outputs): the error of each block
     would be difference-quotient noise over itself or over the 1e-8 floor.
     """
-    if not (h > 0):
-        raise ValueError("step h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("step h must be finite and positive")
     p = params.cast(np.float64)
     cw = np.asarray(codeword, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)[None, :, :]
+    if not np.all(np.isfinite(cw)):
+        raise ValueError("codeword has non-finite entries")
     feats = fourier_features(p, coords)
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != (feats.shape[0], 2):
+        raise ValueError(f"targets must have shape ({feats.shape[0]}, 2)")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("targets have non-finite entries")
+    t = t[None, :, :]
 
     out, tape = forward_batch(p, cw[None, :], feats=feats)
     per_sample, grad_cw, grad = backward_batch(tape, p, t, need_params=True)
+    if not np.isfinite(per_sample[0]):
+        raise ValueError("the loss at this point is not finite")
     analytic = {"codeword": grad_cw[0], **p.arch.split(grad)}
     if not any(np.any(g) for g in analytic.values()):
         raise ValueError("every analytic gradient is exactly 0 (the targets "
@@ -343,28 +363,41 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     arrays = {"codeword": cw, **p.blocks}
     point = {**arrays, "codeword": cw[None, :]}
     # Rounding of the loss scales with the output and target power, which
-    # also covers a loss of exactly zero.
+    # also covers a loss of exactly zero. A NaN drift fails too.
     drift = abs(_stacked_losses(p, point, feats, t)[0] - per_sample[0])
-    if drift > 1e-12 * (per_sample[0] + np.mean(out ** 2) + np.mean(t ** 2)):
+    if not drift <= 1e-12 * (per_sample[0] + np.mean(out ** 2) + np.mean(t ** 2)):
         raise RuntimeError("loss-only pass disagrees with forward_batch")
 
     act_floats = 4 * t.shape[1] * p.arch.hidden_dim   # live (C, d_h) arrays per copy
-    report = {}
+    numeric = {name: np.empty(arr.size) for name, arr in arrays.items()}
+    tiles, used = [[]], 0             # tiles of (block, first scalar, count)
     for name, arr in arrays.items():
-        size = arr.size
-        chunk = max(1, _FD_STACK_BYTES // (2 * 8 * (size + act_floats)))
-        numeric = np.empty(size)
-        for k0 in range(0, size, chunk):
-            K = min(chunk, size - k0)
+        pair_bytes = 2 * 8 * (arr.size + act_floats)   # the +h and -h copy
+        chunk = max(1, _FD_STACK_BYTES // pair_bytes)
+        for k0 in range(0, arr.size, chunk):
+            K = min(chunk, arr.size - k0)
+            if tiles[-1] and used + K * pair_bytes > _FD_STACK_BYTES:
+                tiles.append([])
+                used = 0
+            tiles[-1].append((name, k0, K))
+            used += K * pair_bytes
+
+    def run(start, stop, carry):
+        for name, k0, K in tiles[start]:
+            arr = arrays[name]
             rows = np.arange(K)
-            stack = np.repeat(arr.reshape(1, size), 2 * K, axis=0)
+            stack = np.repeat(arr.reshape(1, arr.size), 2 * K, axis=0)
             stack[rows, k0 + rows] += h
             stack[K + rows, k0 + rows] -= h
             losses = _stacked_losses(
                 p, {**point, name: stack.reshape(2 * K, *arr.shape)}, feats, t)
-            numeric[k0:k0 + K] = (losses[:K] - losses[K:]) / (2.0 * h)
+            numeric[name][k0:k0 + K] = (losses[:K] - losses[K:]) / (2.0 * h)
+
+    map_tiles(run, len(tiles), 1)
+    report = {}
+    for name, num in numeric.items():
         ana = analytic[name].reshape(-1)
         scale = max(float(np.abs(ana).max(initial=0.0)),
-                    float(np.abs(numeric).max(initial=0.0)), 1e-8)
-        report[name] = float(np.abs(ana - numeric).max(initial=0.0)) / scale
+                    float(np.abs(num).max(initial=0.0)), 1e-8)
+        report[name] = float(np.abs(ana - num).max(initial=0.0)) / scale
     return report

@@ -247,6 +247,16 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
     assert "codeword" in out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
+def test_gradcheck_refuses_a_tolerance_that_is_not_finite_and_positive(
+        capsys, tolerance):
+    assert main(["gradcheck", "--hidden-dim", "8", "--layers", "2",
+                 "--codeword-dim", "4", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tolerance must be finite and positive\n"
+    assert "gradcheck" not in captured.out
+
+
 def test_unknown_and_missing_arguments_fail(workspace):
     with pytest.raises(SystemExit):
         main(["no-such-command"])

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from csicodec import siren
+from csicodec import siren, util
 from csicodec.model import ArchConfig, CoordinateGrid, init_params
 from csicodec.siren import (
     backward_batch,
@@ -260,6 +261,135 @@ def test_finite_diff_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         finite_diff_check(p, np.zeros(ARCH.codeword_dim), COORDS,
                           np.zeros((len(COORDS), 2)), h=0.0)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_finite_diff_rejects_a_non_finite_step(h):
+    p = f64_params()
+    with pytest.raises(ValueError, match="step h"):
+        finite_diff_check(p, np.zeros(ARCH.codeword_dim), COORDS,
+                          np.ones((len(COORDS), 2)), h=h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_finite_diff_rejects_a_non_finite_codeword(bad):
+    cw = np.zeros(ARCH.codeword_dim)
+    cw[2] = bad
+    with pytest.raises(ValueError, match="codeword"):
+        finite_diff_check(f64_params(), cw, COORDS, np.ones((len(COORDS), 2)))
+
+
+def test_finite_diff_rejects_non_finite_targets():
+    targets = np.ones((len(COORDS), 2))
+    targets[3, 1] = np.nan
+    with pytest.raises(ValueError, match="targets"):
+        finite_diff_check(f64_params(), np.zeros(ARCH.codeword_dim), COORDS,
+                          targets)
+
+
+@pytest.mark.parametrize("shape", [(len(COORDS) - 1, 2), (1, len(COORDS), 2),
+                                   (len(COORDS),)])
+def test_finite_diff_rejects_targets_of_another_shape(shape):
+    with pytest.raises(ValueError, match=rf"targets must have shape \({len(COORDS)}, 2\)"):
+        finite_diff_check(f64_params(), np.zeros(ARCH.codeword_dim), COORDS,
+                          np.ones(shape))
+
+
+def test_finite_diff_refuses_a_nan_loss_only_pass(monkeypatch):
+    # a NaN drift is no agreement, whatever the tolerance
+    monkeypatch.setattr(siren, "_stacked_losses",
+                        lambda params, blocks, feats, targets: np.full(1, np.nan))
+    with pytest.raises(RuntimeError, match="forward_batch"):
+        finite_diff_check(f64_params(), np.zeros(ARCH.codeword_dim), COORDS,
+                          np.ones((len(COORDS), 2)))
+
+
+def test_finite_diff_refuses_a_non_finite_loss():
+    # a Fourier matrix this large overflows: the features and loss are NaN
+    arch = dataclasses.replace(ARCH, fourier_scale=1e308)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="loss at this point is not finite"):
+        finite_diff_check(init_params(0, arch), np.zeros(ARCH.codeword_dim),
+                          COORDS, np.ones((len(COORDS), 2)))
+
+
+CRITERION_2_ARCH = ArchConfig(hidden_dim=32, num_layers=3, codeword_dim=8,
+                              omega0=30.0, fourier_scale=2.0)
+SMALL_ARCH = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
+                        omega0=30.0, fourier_scale=2.0)
+
+
+def check_inputs(arch, seed=3):
+    rng = np.random.default_rng(seed)
+    coords = CoordinateGrid(3, 3).flat_coords()
+    return (init_params(seed, arch, mod_scale=1.0),
+            rng.normal(0.0, 0.5, arch.codeword_dim), coords,
+            rng.uniform(-1, 1, (len(coords), 2)))
+
+
+def record_pass_threads(monkeypatch):
+    """Count map_tiles' tiles; name the thread of every loss pass, and every
+    tile worker alive during it."""
+    tiles, threads, workers = [], [], set()
+    real_map, real_losses = siren.map_tiles, siren._stacked_losses
+
+    def counted(fn, count, tile):
+        tiles.append(count)
+        return real_map(fn, count, tile)
+
+    def losses(*args):
+        threads.append(threading.current_thread().name)
+        workers.update(t.name for t in threading.enumerate()
+                       if t.name.startswith("csicodec-tile"))
+        return real_losses(*args)
+
+    monkeypatch.setattr(siren, "map_tiles", counted)
+    monkeypatch.setattr(siren, "_stacked_losses", losses)
+    return tiles, threads, workers
+
+
+# criterion 2's network is several dozen tiles at the default budget; the
+# small budget splits the small network into several tiles as well
+@pytest.mark.parametrize("arch,stack_bytes", [
+    (CRITERION_2_ARCH, siren._FD_STACK_BYTES), (SMALL_ARCH, 40_000)])
+def test_parallel_finite_diff_report_equals_the_one_cpu_report(
+        monkeypatch, tile_threads, arch, stack_bytes):
+    monkeypatch.setattr(siren, "_FD_STACK_BYTES", stack_bytes)
+    tiles, threads, workers = record_pass_threads(monkeypatch)
+    parallel = finite_diff_check(*check_inputs(arch))
+    assert tiles[0] > 1
+    assert workers and workers <= set(threads)
+    monkeypatch.setattr(util, "_cpu_count", lambda: 1)
+    threads.clear()
+    assert finite_diff_check(*check_inputs(arch)) == parallel
+    assert set(threads) == {threading.current_thread().name}
+
+
+def test_a_check_within_one_budget_runs_inline(monkeypatch, tile_threads):
+    tiles, threads, workers = record_pass_threads(monkeypatch)
+    finite_diff_check(*check_inputs(SMALL_ARCH))
+    assert tiles == [1]
+    assert set(threads) == {threading.current_thread().name}
+    assert not workers
+
+
+def test_a_failing_pass_propagates_and_blas_is_restored(monkeypatch, tile_threads):
+    before = tile_threads.get()
+    real = siren._stacked_losses
+    lock, calls = threading.Lock(), [0]
+
+    def fifth_pass_fails(*args):
+        with lock:
+            calls[0] += 1
+            n = calls[0]
+        if n == 5:                  # call 1 is the serial drift guard
+            raise FloatingPointError("pass failed")
+        return real(*args)
+
+    monkeypatch.setattr(siren, "_stacked_losses", fifth_pass_fails)
+    with pytest.raises(FloatingPointError, match="pass failed"):
+        finite_diff_check(*check_inputs(CRITERION_2_ARCH))
+    assert tile_threads.get() == before
 
 
 def test_forward_backward_is_deterministic():
