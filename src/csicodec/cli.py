@@ -236,6 +236,8 @@ def _cmd_baseline_svd(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < float("inf"):
+        raise ValueError("tolerance must be finite and positive")
     arch = _arch_from_args(args)
     _print_fingerprint({
         "cmd": "gradcheck", "hidden_dim": arch.hidden_dim,
@@ -243,8 +245,6 @@ def _cmd_gradcheck(args) -> int:
         "omega0": arch.omega0, "fourier_scale": arch.fourier_scale,
         "rows": args.rows, "cols": args.cols, "seed": args.seed,
     })
-    if not 0 < args.tolerance < float("inf"):
-        raise ValueError("tolerance must be finite and positive")
     params = init_params(args.seed, arch)
     grid = CoordinateGrid(args.rows, args.cols)
     rng = np.random.default_rng(args.seed + 1)

@@ -355,10 +355,12 @@ def record_pass_threads(monkeypatch):
 def test_parallel_finite_diff_report_equals_the_one_cpu_report(
         monkeypatch, tile_threads, arch, stack_bytes):
     monkeypatch.setattr(siren, "_FD_STACK_BYTES", stack_bytes)
-    tiles, threads, workers = record_pass_threads(monkeypatch)
+    tiles, threads, _ = record_pass_threads(monkeypatch)
     parallel = finite_diff_check(*check_inputs(arch))
     assert tiles[0] > 1
-    assert workers and workers <= set(threads)
+    # only the drift guard runs on the caller; a worker may find no tile left
+    off_caller = set(threads) - {threading.current_thread().name}
+    assert off_caller and all(n.startswith("csicodec-tile") for n in off_caller)
     monkeypatch.setattr(util, "_cpu_count", lambda: 1)
     threads.clear()
     assert finite_diff_check(*check_inputs(arch)) == parallel
