@@ -49,10 +49,6 @@ class SystemConfig:
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
 
-    def subcarrier_freq(self, m: int) -> float:
-        """Frequency of 1-based subcarrier m."""
-        return self.base_freq + (m - 1) * self.subcarrier_spacing
-
     def phase_slope(self, freq: float) -> float:
         """Per-antenna phase increment chi = 2*pi*spacing*freq/c."""
         return 2.0 * np.pi * self.antenna_spacing * freq / self.light_speed

@@ -2,8 +2,10 @@
 
 Every subcommand accepts --seed and prints a `config <fingerprint>` line
 before doing any work, so runs can be matched to their settings from logs
-alone. All heavy lifting lives in the library modules; this file only
-parses arguments and formats output.
+alone. The fingerprint hashes the subcommand name and every parsed argument
+except the output paths --out and --log; `sweep` also hashes every field of
+its spec but `out`. All heavy lifting lives in the library modules; this
+file only parses arguments and formats output.
 """
 
 from __future__ import annotations
@@ -24,8 +26,12 @@ from .training import TrainConfig, train
 from .util import config_fingerprint
 
 
-def _print_fingerprint(settings: dict) -> str:
-    fp = config_fingerprint(settings)
+def _print_fingerprint(args, **resolved) -> str:
+    """Print and return the fingerprint of `cmd`, every parsed argument but
+    the output paths, and `resolved` (settings read from an input file)."""
+    settings = {k: v for k, v in vars(args).items()
+                if k not in ("command", "func", "out", "log")}
+    fp = config_fingerprint({"cmd": args.command, **settings, **resolved})
     print(f"config {fp}")
     return fp
 
@@ -56,12 +62,7 @@ def _cmd_gen_data(args) -> int:
         base_freq=args.base_freq,
         subcarrier_spacing=args.bandwidth / args.num_subcarriers)
     sampling = SamplingSpec(delay_max=args.delay_max)
-    _print_fingerprint({
-        "cmd": "gen-data", "count": args.count, "seed": args.seed,
-        "num_antennas": cfg.num_antennas, "num_subcarriers": cfg.num_subcarriers,
-        "num_paths": cfg.num_paths, "base_freq": cfg.base_freq,
-        "bandwidth": args.bandwidth, "delay_max": args.delay_max,
-    })
+    _print_fingerprint(args)
     ds = generate_dataset(args.count, args.seed, cfg, sampling)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples ({cfg.num_antennas}x{cfg.num_subcarriers}, "
@@ -81,17 +82,7 @@ def _cmd_train(args) -> int:
                       outer_lr=args.outer_lr, batch_size=args.batch_size,
                       max_epochs=args.epochs, patience=args.patience,
                       seed=args.seed, mod_scale=args.mod_scale)
-    _print_fingerprint({
-        "cmd": "train", "dataset": args.dataset,
-        "train_count": args.train_count, "val_count": args.val_count,
-        "hidden_dim": arch.hidden_dim, "layers": arch.num_layers,
-        "codeword_dim": arch.codeword_dim, "omega0": arch.omega0,
-        "fourier_scale": arch.fourier_scale, "inner_steps": cfg.inner_steps,
-        "inner_lr": cfg.inner_lr, "outer_lr": cfg.outer_lr,
-        "batch_size": cfg.batch_size, "epochs": cfg.max_epochs,
-        "patience": cfg.patience, "mod_scale": cfg.mod_scale,
-        "seed": cfg.seed,
-    })
+    _print_fingerprint(args)
     params, log = train(train_ds, val_ds, arch, cfg)
     save_checkpoint(params, args.out)
     if args.log:
@@ -109,12 +100,7 @@ def _cmd_train(args) -> int:
 def _cmd_fit_codec(args) -> int:
     params = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
-    _print_fingerprint({
-        "cmd": "fit-codec", "checkpoint": args.checkpoint,
-        "dataset": args.dataset, "bits": args.bits,
-        "inner_steps": args.inner_steps, "count": args.count,
-        "seed": args.seed,
-    })
+    _print_fingerprint(args)
     matrices = ds.matrices(denormalise=True)[:args.count]
     state = codec.fit_codec_state(params, matrices, args.bits, args.inner_steps)
     codec.save_sidecar(state, args.out)
@@ -132,11 +118,7 @@ def _cmd_encode(args) -> int:
     if not (0 <= args.index < len(ds)):
         raise SystemExit(f"sample index {args.index} outside dataset of {len(ds)}")
     state = codec.load_sidecar(args.sidecar) if args.sidecar else None
-    _print_fingerprint({
-        "cmd": "encode", "checkpoint": args.checkpoint, "dataset": args.dataset,
-        "index": args.index, "sidecar": args.sidecar,
-        "inner_steps": args.inner_steps, "seed": args.seed,
-    })
+    _print_fingerprint(args)
     matrix = ds.matrices(denormalise=True)[args.index]
     stream = codec.encode_sample(params, matrix, args.inner_steps, state)
     codec.save_bitstream(stream, args.out)
@@ -154,11 +136,7 @@ def _cmd_decode(args) -> int:
     ref_ds = load_dataset(args.reference) if args.reference else None
     if ref_ds is not None and not (0 <= args.index < len(ref_ds)):
         raise SystemExit(f"reference index {args.index} outside dataset of {len(ref_ds)}")
-    _print_fingerprint({
-        "cmd": "decode", "checkpoint": args.checkpoint, "stream": args.stream,
-        "sidecar": args.sidecar, "reference": args.reference,
-        "index": args.index, "seed": args.seed,
-    })
+    _print_fingerprint(args)
     rows, cols = ((args.rows, args.cols) if ref_ds is None
                   else (ref_ds.num_antennas, ref_ds.num_subcarriers))
     grid = CoordinateGrid(rows, cols)
@@ -176,11 +154,7 @@ def _cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
     state = codec.load_sidecar(args.sidecar) if args.sidecar else None
-    fp = _print_fingerprint({
-        "cmd": "eval", "checkpoint": args.checkpoint, "dataset": args.dataset,
-        "sidecar": args.sidecar, "inner_steps": args.inner_steps,
-        "offset": args.offset, "count": args.count, "seed": args.seed,
-    })
+    fp = _print_fingerprint(args)
     stop = None if args.count is None else args.offset + args.count
     matrices = ds.matrices(denormalise=True)[args.offset:stop]
     if matrices.shape[0] == 0:
@@ -205,12 +179,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = evaluate.parse_sweep_spec(args.spec)
-    _print_fingerprint({
-        "cmd": "sweep", "spec": args.spec, "dataset": spec.dataset,
-        "checkpoints": list(spec.checkpoints),
-        "bits": ["none" if b is None else b for b in spec.bits],
-        "inner_steps": list(spec.inner_steps), "seed": args.seed,
-    })
+    _print_fingerprint(args, **spec.settings())
     rows = evaluate.rd_sweep(spec)
     print(f"swept {len(rows)} cells to {spec.out}")
     return 0
@@ -221,11 +190,7 @@ def _cmd_baseline_svd(args) -> int:
     if args.train_count + args.test_count > len(ds):
         raise SystemExit(f"dataset has {len(ds)} samples, split needs "
                          f"{args.train_count + args.test_count}")
-    fp = _print_fingerprint({
-        "cmd": "baseline-svd", "dataset": args.dataset,
-        "codeword_dim": args.codeword_dim, "train_count": args.train_count,
-        "test_count": args.test_count, "seed": args.seed,
-    })
+    fp = _print_fingerprint(args)
     m = ds.matrices(denormalise=True)
     report = evaluate.svd_baseline(m[:args.train_count],
                                    m[len(ds) - args.test_count:],
@@ -239,12 +204,7 @@ def _cmd_gradcheck(args) -> int:
     if not 0 < args.tolerance < float("inf"):
         raise ValueError("tolerance must be finite and positive")
     arch = _arch_from_args(args)
-    _print_fingerprint({
-        "cmd": "gradcheck", "hidden_dim": arch.hidden_dim,
-        "layers": arch.num_layers, "codeword_dim": arch.codeword_dim,
-        "omega0": arch.omega0, "fourier_scale": arch.fourier_scale,
-        "rows": args.rows, "cols": args.cols, "seed": args.seed,
-    })
+    _print_fingerprint(args)
     params = init_params(args.seed, arch)
     grid = CoordinateGrid(args.rows, args.cols)
     rng = np.random.default_rng(args.seed + 1)

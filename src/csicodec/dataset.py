@@ -63,7 +63,7 @@ def sample_paths(rng: np.random.Generator, cfg: SystemConfig,
 
 @dataclass(frozen=True)
 class Dataset:
-    """Normalised CSI samples plus the metadata needed to regenerate them.
+    """Normalised CSI samples with their normalisation scale and seed.
 
     planes has shape (count, num_antennas, num_subcarriers, 2) holding
     (re, im) float32 pairs after division by norm_scale.
@@ -72,8 +72,6 @@ class Dataset:
     planes: np.ndarray
     norm_scale: float
     seed: int
-    cfg: SystemConfig | None = None
-    sampling: SamplingSpec | None = None
 
     def __len__(self) -> int:
         return self.planes.shape[0]
@@ -129,7 +127,7 @@ def generate_dataset(count: int, seed: int, cfg: SystemConfig,
     planes = np.empty((count, cfg.num_antennas, cfg.num_subcarriers, 2), dtype=np.float32)
     planes[..., 0] = (raw.real / norm_scale).astype(np.float32)
     planes[..., 1] = (raw.imag / norm_scale).astype(np.float32)
-    return Dataset(planes=planes, norm_scale=norm_scale, cfg=cfg, seed=seed, sampling=spec)
+    return Dataset(planes=planes, norm_scale=norm_scale, seed=seed)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -146,6 +144,4 @@ def load_dataset(path) -> Dataset:
         f["count"], f["num_antennas"], f["num_subcarriers"], 2).copy()
     if not np.all(np.isfinite(planes)):
         raise ValueError(f"{path}: non-finite sample values")
-    # The file format carries only grid shape, not carrier frequencies, so a
-    # loaded dataset has cfg=None. Training and evaluation never need more.
     return Dataset(planes=planes, norm_scale=f["norm_scale"], seed=f["seed"])

@@ -10,8 +10,7 @@ as 2*N_t*N_c real dimensions.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -180,6 +179,8 @@ class SweepSpec:
     the eval dataset when absent, which leaks the eval set into the codec
     fit; fine for smoke runs, not for reported numbers). eval_offset and
     eval_count select the evaluation slice; fit_count limits fitting samples.
+    Every field but `out` goes into the sweep's fingerprint, and into each
+    cell's with the cell's checkpoint, b and s_in in place of the lists.
     """
 
     dataset: str
@@ -191,16 +192,38 @@ class SweepSpec:
     fit_count: int | None = None
     eval_offset: int = 0
     eval_count: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.checkpoints and self.bits and self.inner_steps):
             raise ValueError("checkpoints, bits, inner_steps must be nonempty")
 
+    def settings(self) -> dict:
+        """Every field but the output path."""
+        settings = asdict(self)
+        del settings["out"]
+        return settings
+
+
+_SPEC_LISTS = ("checkpoints", "bits", "inner_steps")
+_SPEC_INTS = ("bits", "inner_steps", "fit_count", "eval_offset", "eval_count")
+
+
+def _spec_value(key: str, text: str):
+    items = [v.strip() for v in text.split(",")] if key in _SPEC_LISTS else [text]
+    if key in _SPEC_INTS:
+        items = [None if key == "bits" and v.lower() == "none" else int(v)
+                 for v in items]
+    return tuple(items) if key in _SPEC_LISTS else items[0]
+
 
 def parse_sweep_spec(path) -> SweepSpec:
-    """Plain key=value text, one pair per line, # comments, commas for lists."""
-    fields = {}
+    """Plain key=value text, one pair per line, # comments, commas for lists.
+
+    Each key is a SweepSpec field and may appear once; anything else is
+    refused with the path and line.
+    """
+    spec_fields = {f.name: f for f in fields(SweepSpec)}
+    values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -209,24 +232,18 @@ def parse_sweep_spec(path) -> SweepSpec:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            fields[key] = value
-    try:
-        bits = tuple(None if v.strip().lower() == "none" else int(v)
-                     for v in fields["bits"].split(","))
-        return SweepSpec(
-            dataset=fields["dataset"],
-            checkpoints=tuple(v.strip() for v in fields["checkpoints"].split(",")),
-            bits=bits,
-            inner_steps=tuple(int(v) for v in fields["inner_steps"].split(",")),
-            out=fields["out"],
-            fit_dataset=fields.get("fit_dataset"),
-            fit_count=int(fields["fit_count"]) if "fit_count" in fields else None,
-            eval_offset=int(fields.get("eval_offset", 0)),
-            eval_count=int(fields["eval_count"]) if "eval_count" in fields else None,
-            seed=int(fields.get("seed", 0)),
-        )
-    except KeyError as missing:
-        raise ValueError(f"{path}: missing required key {missing}") from None
+            if key not in spec_fields:
+                raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key '{key}'")
+            try:
+                values[key] = _spec_value(key, value)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {key}: {err}") from None
+    for name, f in spec_fields.items():
+        if f.default is MISSING and name not in values:
+            raise ValueError(f"{path}: missing required key '{name}'")
+    return SweepSpec(**values)
 
 
 SWEEP_COLUMNS = ("checkpoint", "n", "b", "s_in", "samples", "nmse_db",
@@ -259,28 +276,6 @@ def write_report_csv(rows, path) -> None:
             writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
 
 
-def read_report_csv(path):
-    """Inverse of write_report_csv; numeric fields come back as float/int."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = []
-        for rec in reader:
-            row = {}
-            for key, text in zip(columns, rec):
-                if text == "":
-                    row[key] = None
-                elif key in ("n", "b", "s_in", "samples"):
-                    row[key] = int(text)
-                elif key in ("nmse_db", "mean_payload_bits", "bit_rate", "cr",
-                             "coding_gain"):
-                    row[key] = float(text)
-                else:
-                    row[key] = text
-            rows.append(row)
-    return columns, rows
-
-
 def rd_sweep(spec: SweepSpec):
     """Evaluate every (checkpoint, b, s_in) cell and return CSV-ready rows.
 
@@ -301,6 +296,7 @@ def rd_sweep(spec: SweepSpec):
     except (OSError, ValueError) as err:
         raise ValueError(f"sweep fit dataset {fit_path}: {err}") from err
     fit_m = fit_ds.matrices(denormalise=True)[:spec.fit_count]
+    shared = {k: v for k, v in spec.settings().items() if k not in _SPEC_LISTS}
 
     rows = []
     for ckpt_path in spec.checkpoints:
@@ -317,11 +313,8 @@ def rd_sweep(spec: SweepSpec):
                         states[(b, s_in)] = codec.fit_codec_state(
                             params, fit_m, b, s_in)
                     state = None if b is None else states[(b, s_in)]
-                    fp = config_fingerprint({
-                        "checkpoint": ckpt_path, "dataset": spec.dataset,
-                        "b": b, "s_in": s_in, "eval_offset": spec.eval_offset,
-                        "eval_count": eval_m.shape[0], "seed": spec.seed,
-                    })
+                    fp = config_fingerprint({**shared, "checkpoint": ckpt_path,
+                                             "b": b, "s_in": s_in})
                     report = evaluate_model(params, eval_m, s_in, state,
                                             fingerprint=fp)
                 except (ValueError, RuntimeError) as err:

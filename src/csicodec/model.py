@@ -204,7 +204,11 @@ def init_params(seed: int, arch: ArchConfig,
 
     # draws in a fixed order: Fourier matrix, layer weights, head, scale
     # maps, shift maps; each is rounded to float32 where it is stored
-    fourier = np.asarray(rng.normal(0.0, a.fourier_scale, (d, 2)), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        fourier = np.asarray(rng.normal(0.0, a.fourier_scale, (d, 2)), dtype=np.float32)
+    if not np.isfinite(fourier).all():
+        raise ValueError(f"fourier_scale {a.fourier_scale!r} overflows the "
+                         "float32 Fourier matrix")
     vector = np.zeros(a.vector_size, dtype=np.float32)
     blocks = a.split(vector)
     deep = np.sqrt(6.0 / d) / a.omega0

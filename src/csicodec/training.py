@@ -101,21 +101,6 @@ class TrainLog:
                 fh.write(f",,{epoch},{val!r}\n")
 
 
-def read_train_log(path) -> TrainLog:
-    log = TrainLog()
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "step,loss,epoch,val_nmse_db":
-            raise ValueError(f"{path}: unexpected train log header")
-        for line in fh:
-            step, loss, epoch, val = line.rstrip("\n").split(",")
-            if step:
-                log.steps.append((int(step), float(loss)))
-            else:
-                log.epochs.append((int(epoch), float(val)))
-    return log
-
-
 def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
                targets: np.ndarray, codewords: np.ndarray, lr: float,
                tape: ActivationTape | None = None):

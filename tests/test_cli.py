@@ -1,19 +1,26 @@
 """End-to-end smoke of every CLI subcommand at toy scale."""
 
+import argparse
+import csv
+import shutil
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csicodec.cli import main
+from csicodec.cli import build_parser, main
 from csicodec.codec import FLAG_UNQUANTIZED, Bitstream, save_bitstream
 from csicodec.dataset import load_dataset, save_dataset
-from csicodec.evaluate import read_report_csv
 from csicodec.model import load_checkpoint
 
 ARCH_ARGS = ["--hidden-dim", "8", "--layers", "2", "--codeword-dim", "4",
              "--omega0", "30", "--fourier-scale", "2"]
+
+
+def read_report_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -197,10 +204,10 @@ def test_eval_prints_metrics_and_writes_csv(workspace, capsys):
                  "--offset", "8", "--count", "4", "--out", str(out_csv)]) == 0
     out = capsys.readouterr().out
     assert "NMSE" in out and "bit rate" in out
-    _, rows = read_report_csv(out_csv)
+    rows = read_report_csv(out_csv)
     assert len(rows) == 1
-    assert rows[0]["samples"] == 4
-    assert rows[0]["b"] == 3
+    assert rows[0]["samples"] == "4"
+    assert rows[0]["b"] == "3"
 
 
 def test_sweep_command_runs_a_spec(workspace, capsys):
@@ -216,7 +223,7 @@ def test_sweep_command_runs_a_spec(workspace, capsys):
         "fit_count = 8\n"
         "eval_offset = 8\neval_count = 4\n")
     assert main(["sweep", "--spec", str(spec)]) == 0
-    _, rows = read_report_csv(report)
+    rows = read_report_csv(report)
     assert len(rows) == 2
     assert "swept 2 cells" in capsys.readouterr().out
     # eval builds its row like the sweep does: the same cell, the same row,
@@ -226,8 +233,8 @@ def test_sweep_command_runs_a_spec(workspace, capsys):
                  "--dataset", str(workspace["ds"]), "--sidecar",
                  str(workspace["sidecar"]), "--inner-steps", "2",
                  "--offset", "8", "--count", "4", "--out", str(eval_csv)]) == 0
-    _, (row,) = read_report_csv(eval_csv)
-    swept = next(r for r in rows if r["b"] == 3)
+    (row,) = read_report_csv(eval_csv)
+    swept = next(r for r in rows if r["b"] == "3")
     assert row.pop("fingerprint") != swept.pop("fingerprint")
     assert row == swept
 
@@ -265,3 +272,141 @@ def test_unknown_and_missing_arguments_fail(workspace):
     rc = main(["eval", "--checkpoint", str(workspace["root"] / "nope.ckpt"),
                "--dataset", str(workspace["ds"])])
     assert rc == 1
+
+
+def test_gradcheck_refuses_a_fourier_scale_that_overflows(capsys):
+    assert main(["gradcheck", "--fourier-scale", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: fourier_scale 1e+308 overflows")
+    assert "gradcheck" not in captured.out
+
+
+def config_line(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[0]
+
+
+def test_gen_data_fingerprint_hashes_no_path(tmp_path, capsys):
+    # the value these flags have always printed: --out is not an input
+    assert config_line(["gen-data", "--count", "4", "--out", str(tmp_path / "a.csid"),
+                        "--num-antennas", "4", "--num-subcarriers", "4",
+                        "--num-paths", "2", "--seed", "7"],
+                       capsys) == "config ea98cc7dac7a"
+
+
+@pytest.fixture(scope="module")
+def fingerprint_cases(workspace):
+    """Per command: a base argv; for every option but --out and --log a
+    different valid value, with input files copied to another path; and
+    other values for the output paths."""
+    root, ds, ckpt, side = (workspace[k] for k in ("root", "ds", "ckpt", "sidecar"))
+    stream, spec = root / "fp.csibit", root / "fp.spec"
+    assert main(["encode", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                 "--index", "9", "--out", str(stream), "--sidecar", str(side),
+                 "--inner-steps", "2"]) == 0
+    spec.write_text(f"dataset = {ds}\ncheckpoints = {ckpt}\nbits = 3\n"
+                    f"inner_steps = 2\nout = {root / 'fp.csv'}\nfit_count = 8\n"
+                    "eval_offset = 8\neval_count = 4\n")
+    (root / "alt").mkdir()
+    alt = {}
+    for path in (ds, ckpt, side, stream, spec):
+        alt[path] = str(shutil.copy(path, root / "alt" / path.name))
+    out = {"--out": str(root / "elsewhere")}
+    return {
+        "gen-data": (
+            ["--count", "4", "--out", str(root / "fp.csid"), "--num-antennas", "4",
+             "--num-subcarriers", "4", "--num-paths", "2"],
+            {"--count": "5", "--num-antennas": "5", "--num-subcarriers": "5",
+             "--num-paths": "3", "--base-freq": "3e9", "--bandwidth": "5e7",
+             "--delay-max": "2e-6", "--seed": "1"}, out),
+        "train": (
+            ["--dataset", str(ds), "--out", str(root / "fp.ckpt"), "--train-count", "8",
+             "--val-count", "4", "--batch-size", "4", "--epochs", "1",
+             "--mod-scale", "0.5", *ARCH_ARGS],
+            {"--dataset": alt[ds], "--train-count": "9", "--val-count": "5",
+             "--hidden-dim": "9", "--layers": "3", "--codeword-dim": "5",
+             "--omega0": "31", "--fourier-scale": "3", "--mod-scale": "0.25",
+             "--inner-steps": "2", "--inner-lr": "2e-2", "--outer-lr": "2e-6",
+             "--batch-size": "2", "--epochs": "2", "--patience": "3", "--seed": "1"},
+            {**out, "--log": str(root / "fp-log.csv")}),
+        "fit-codec": (
+            ["--checkpoint", str(ckpt), "--dataset", str(ds), "--out",
+             str(root / "fp.sidecar"), "--bits", "3", "--inner-steps", "2",
+             "--count", "8"],
+            {"--checkpoint": alt[ckpt], "--dataset": alt[ds], "--bits": "4",
+             "--inner-steps": "1", "--count": "7", "--seed": "1"}, out),
+        "encode": (
+            ["--checkpoint", str(ckpt), "--dataset", str(ds), "--index", "9",
+             "--out", str(root / "fp2.csibit"), "--sidecar", str(side),
+             "--inner-steps", "2"],
+            {"--checkpoint": alt[ckpt], "--dataset": alt[ds], "--index": "8",
+             "--sidecar": alt[side], "--inner-steps": "1", "--seed": "1"}, out),
+        "decode": (
+            ["--checkpoint", str(ckpt), "--stream", str(stream), "--out",
+             str(root / "fp.npy"), "--sidecar", str(side), "--rows", "4",
+             "--cols", "4"],
+            {"--checkpoint": alt[ckpt], "--stream": alt[stream],
+             "--sidecar": alt[side], "--rows": "5", "--cols": "5",
+             "--reference": alt[ds], "--index": "8", "--seed": "1"},
+            {"--out": str(root / "elsewhere.npy")}),
+        "eval": (
+            ["--checkpoint", str(ckpt), "--dataset", str(ds), "--sidecar", str(side),
+             "--inner-steps", "2", "--offset", "8", "--count", "4"],
+            {"--checkpoint": alt[ckpt], "--dataset": alt[ds], "--sidecar": alt[side],
+             "--inner-steps": "1", "--offset": "7", "--count": "3", "--seed": "1"},
+            out),
+        "sweep": (["--spec", str(spec)], {"--spec": alt[spec], "--seed": "1"}, {}),
+        "baseline-svd": (
+            ["--dataset", str(ds), "--codeword-dim", "4", "--train-count", "8",
+             "--test-count", "4"],
+            {"--dataset": alt[ds], "--codeword-dim": "3", "--train-count": "9",
+             "--test-count": "5", "--seed": "1"}, {}),
+        "gradcheck": (
+            ARCH_ARGS,
+            {"--hidden-dim": "9", "--layers": "3", "--codeword-dim": "5",
+             "--omega0": "31", "--fourier-scale": "3", "--rows": "5", "--cols": "5",
+             "--tolerance": "1e-3", "--seed": "1"}, {}),
+    }
+
+
+def with_option(argv, flag, value):
+    if flag not in argv:
+        return [*argv, flag, value]
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "fit-codec", "encode",
+                                     "decode", "eval", "sweep", "baseline-svd",
+                                     "gradcheck"])
+def test_fingerprint_follows_every_input_and_no_output(fingerprint_cases, capsys,
+                                                        command):
+    base, inputs, outputs = fingerprint_cases[command]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {a.option_strings[-1] for a in sub.choices[command]._actions}
+    assert set(inputs) == options - {"--help", "--out", "--log"}
+    fp = config_line([command, *base], capsys)
+    for flag, value in inputs.items():
+        assert config_line([command, *with_option(base, flag, value)], capsys) != fp, flag
+    for flag, value in outputs.items():
+        assert config_line([command, *with_option(base, flag, value)], capsys) == fp, flag
+
+
+def test_sweep_fingerprints_follow_the_spec_but_not_its_output(workspace, capsys):
+    root = workspace["root"]
+    spec = root / "fit.spec"
+
+    def sweep(fit_count, out):
+        spec.write_text(f"dataset = {workspace['ds']}\ncheckpoints = {workspace['ckpt']}\n"
+                        f"bits = 3\ninner_steps = 2\nout = {out}\n"
+                        f"fit_count = {fit_count}\neval_offset = 8\neval_count = 4\n")
+        line = config_line(["sweep", "--spec", str(spec)], capsys)
+        (row,) = read_report_csv(out)
+        return line, row["fingerprint"]
+
+    fit8 = sweep(8, root / "fit8.csv")
+    fit6 = sweep(6, root / "fit6.csv")
+    assert fit8[0] != fit6[0] and fit8[1] != fit6[1]
+    assert sweep(8, root / "elsewhere.csv") == fit8

@@ -90,7 +90,6 @@ def test_save_load_round_trip(tmp_path):
     assert len(back) == 7
     assert back.seed == 13
     assert back.norm_scale == ds.norm_scale
-    assert back.cfg is None
     np.testing.assert_array_equal(back.planes, ds.planes)
 
 

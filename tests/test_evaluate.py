@@ -1,6 +1,8 @@
 """NMSE metrics, rate accounting, the SVD comparator, and sweep plumbing."""
 
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from csicodec.evaluate import (
     per_sample_nmse,
     rates,
     rd_sweep,
-    read_report_csv,
     svd_baseline,
     write_report_csv,
 )
@@ -180,6 +181,12 @@ def test_evaluate_model_with_quantization_reports_the_gain():
     assert report.bit_rate == pytest.approx(report.mean_payload_bits / 32)
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
 def test_report_csv_round_trip(tmp_path):
     rows = [
         {"checkpoint": "a.ckpt", "n": 16, "b": 3, "s_in": 5, "samples": 100,
@@ -193,14 +200,15 @@ def test_report_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "report.csv"
     write_report_csv(rows, path)
-    columns, back = read_report_csv(path)
+    columns, back = read_csv(path)
     assert tuple(columns) == SWEEP_COLUMNS
-    assert back[0]["nmse_db"] == rows[0]["nmse_db"]
-    assert back[0]["b"] == 3
-    assert back[1]["b"] is None
-    assert back[1]["nmse_db"] == float("-inf")
-    assert back[1]["coding_gain"] is None
-    assert back[1]["fingerprint"] is None or back[1]["fingerprint"] == ""
+    assert float(back[0]["nmse_db"]) == rows[0]["nmse_db"]
+    assert back[0]["b"] == "3"
+    assert back[1]["b"] == ""
+    assert back[1]["nmse_db"] == "-inf"
+    assert float(back[1]["nmse_db"]) == float("-inf")
+    assert back[1]["coding_gain"] == ""
+    assert back[1]["fingerprint"] == ""
 
 
 def test_parse_sweep_spec(tmp_path):
@@ -229,9 +237,29 @@ eval_count = 64
     path.write_text("just words\n")
     with pytest.raises(ValueError, match="key=value"):
         parse_sweep_spec(path)
+    assert spec.settings() == {
+        "dataset": "test.csid", "checkpoints": ("a.ckpt", "b.ckpt"),
+        "bits": (None, 8, 3), "inner_steps": (3,), "fit_dataset": None,
+        "fit_count": None, "eval_offset": 0, "eval_count": 64}
     with pytest.raises(ValueError):
         SweepSpec(dataset="d", checkpoints=(), bits=(3,), inner_steps=(1,),
                   out="o")
+
+
+@pytest.mark.parametrize("first, message", [
+    ("eval_cout = 4", "1: unknown key 'eval_cout'$"),
+    ("bits = 8", "4: repeated key 'bits'$"),
+    ("eval_count = four", "1: eval_count: invalid literal for int"),
+    ("fit_count =", "1: fit_count: invalid literal for int"),
+    ("inner_steps = 1, x", "1: inner_steps: invalid literal for int")],
+    ids=["unknown", "repeated", "word", "empty", "list-item"])
+def test_parse_sweep_spec_refuses_a_bad_line_by_path_and_number(tmp_path, first,
+                                                                message):
+    path = tmp_path / "sweep.spec"
+    path.write_text(f"{first}\ndataset = d\ncheckpoints = c\nbits = 3\n"
+                    "inner_steps = 1\nout = o\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{message}"):
+        parse_sweep_spec(path)
 
 
 def test_sweep_runs_every_cell_and_writes_the_report(tmp_path):
@@ -251,11 +279,11 @@ def test_sweep_runs_every_cell_and_writes_the_report(tmp_path):
     assert len(rows) == 4
     assert all(row["samples"] == 2 for row in rows)
     assert {row["b"] for row in rows} == {None, 3}
-    columns, back = read_report_csv(out)
+    columns, back = read_csv(out)
     assert tuple(columns) == SWEEP_COLUMNS
     assert len(back) == 4
-    assert all(row["n"] == ARCH.codeword_dim for row in back)
-    assert all(isinstance(row["nmse_db"], float) for row in back)
+    assert all(row["n"] == str(ARCH.codeword_dim) for row in back)
+    assert [float(row["nmse_db"]) for row in back] == [row["nmse_db"] for row in rows]
 
     missing = SweepSpec(dataset=str(tmp_path / "absent.csid"),
                         checkpoints=(str(ckpt),), bits=(3,),

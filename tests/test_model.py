@@ -55,6 +55,12 @@ def test_init_is_seed_deterministic():
     assert not np.array_equal(init_params(4, ARCH).fourier, a.fourier)
 
 
+def test_init_refuses_a_fourier_scale_that_overflows_float32():
+    arch = dataclasses.replace(ARCH, fourier_scale=1e308)
+    with pytest.raises(ValueError, match="fourier_scale 1e"):
+        init_params(0, arch)
+
+
 def test_fourier_matrix_statistics():
     arch = ArchConfig(hidden_dim=4096, num_layers=2, codeword_dim=4,
                       omega0=30.0, fourier_scale=2.0)
