@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every subcommand accepts --seed and prints a `config <fingerprint>` line
-before doing any work, so runs can be matched to their settings from logs
-alone. The fingerprint hashes the subcommand name and every parsed argument
-except the output paths --out and --log; `sweep` also hashes every field of
-its spec but `out`. All heavy lifting lives in the library modules; this
-file only parses arguments and formats output.
+Every subcommand prints a `config <fingerprint>` line before its work, so
+runs can be matched to their settings from logs alone. It hashes the
+subcommand name and every parsed argument but the outputs --out and --log;
+`sweep` also hashes its spec's fields but `out`. Only gen-data, train and
+gradcheck draw random numbers, so only they take --seed. All but sweep
+check their sample windows (Dataset.slice) before the config line. Every
+refusal is main's one `error: ...` line with exit code 1 (argparse's usage
+errors aside). The library modules do the work; this file parses and prints.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import codec, evaluate
 from .dataset import (SamplingSpec, generate_dataset, load_dataset,
-                      save_dataset)
+                      save_dataset, split_dataset)
 from .channel import half_wavelength_config
 from .model import (ArchConfig, CoordinateGrid, init_params, load_checkpoint,
                     save_checkpoint)
@@ -72,9 +74,6 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
-    if args.train_count + args.val_count > len(ds):
-        raise SystemExit(f"dataset has {len(ds)} samples, split needs "
-                         f"{args.train_count + args.val_count}")
     train_ds = ds.slice(0, args.train_count)
     val_ds = ds.slice(args.train_count, args.train_count + args.val_count)
     arch = _arch_from_args(args)
@@ -99,9 +98,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_fit_codec(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
+    matrices = load_dataset(args.dataset).slice(0, args.count).matrices(
+        denormalise=True)
     _print_fingerprint(args)
-    matrices = ds.matrices(denormalise=True)[:args.count]
     state = codec.fit_codec_state(params, matrices, args.bits, args.inner_steps)
     codec.save_sidecar(state, args.out)
     q = state.quantizer
@@ -114,13 +113,11 @@ def _cmd_fit_codec(args) -> int:
 
 def _cmd_encode(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
-    if not (0 <= args.index < len(ds)):
-        raise SystemExit(f"sample index {args.index} outside dataset of {len(ds)}")
+    sample = load_dataset(args.dataset).slice(args.index, args.index + 1)
     state = codec.load_sidecar(args.sidecar) if args.sidecar else None
     _print_fingerprint(args)
-    matrix = ds.matrices(denormalise=True)[args.index]
-    stream = codec.encode_sample(params, matrix, args.inner_steps, state)
+    stream = codec.encode_dataset(params, sample.matrices(denormalise=True),
+                                  args.inner_steps, state)[0]
     codec.save_bitstream(stream, args.out)
     kind = {codec.FLAG_UNQUANTIZED: "unquantized", codec.FLAG_RAW: "raw",
             codec.FLAG_ENTROPY: "entropy"}[stream.flags]
@@ -133,34 +130,31 @@ def _cmd_decode(args) -> int:
     params = load_checkpoint(args.checkpoint)
     stream = codec.load_bitstream(args.stream)
     state = codec.load_sidecar(args.sidecar) if args.sidecar else None
-    ref_ds = load_dataset(args.reference) if args.reference else None
-    if ref_ds is not None and not (0 <= args.index < len(ref_ds)):
-        raise SystemExit(f"reference index {args.index} outside dataset of {len(ref_ds)}")
+    ref = (load_dataset(args.reference).slice(args.index, args.index + 1)
+           if args.reference else None)
     _print_fingerprint(args)
-    rows, cols = ((args.rows, args.cols) if ref_ds is None
-                  else (ref_ds.num_antennas, ref_ds.num_subcarriers))
+    rows, cols = ((args.rows, args.cols) if ref is None
+                  else (ref.num_antennas, ref.num_subcarriers))
     grid = CoordinateGrid(rows, cols)
     matrix = codec.decode_sample(params, stream, grid, state)
     np.save(args.out, matrix)
     print(f"decoded {rows}x{cols} matrix to {args.out}")
-    if ref_ds is not None:
-        target = ref_ds.matrices(denormalise=True)[args.index]
-        linear, db = evaluate.nmse(target, matrix)
+    if ref is not None:
+        linear, db = evaluate.nmse(ref.matrices(denormalise=True)[0], matrix)
         print(f"NMSE vs reference sample {args.index}: {_fmt_db(db)} dB")
     return 0
 
 
 def _cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.dataset)
+    stop = None if args.count is None else args.offset + args.count
+    window = load_dataset(args.dataset).slice(args.offset, stop)
+    if len(window) == 0:
+        raise ValueError("the evaluation window is empty")
     state = codec.load_sidecar(args.sidecar) if args.sidecar else None
     fp = _print_fingerprint(args)
-    stop = None if args.count is None else args.offset + args.count
-    matrices = ds.matrices(denormalise=True)[args.offset:stop]
-    if matrices.shape[0] == 0:
-        raise SystemExit("evaluation slice is empty")
-    report = evaluate.evaluate_model(params, matrices, args.inner_steps, state,
-                                     fingerprint=fp)
+    report = evaluate.evaluate_model(params, window.matrices(denormalise=True),
+                                     args.inner_steps, state, fingerprint=fp)
     print(f"evaluated {report.count} samples with s_in={args.inner_steps}")
     print(f"NMSE {report.nmse_linear:.6g} ({_fmt_db(report.nmse_db)} dB)")
     gain = ("n/a" if report.coding_gain is None
@@ -187,13 +181,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_baseline_svd(args) -> int:
     ds = load_dataset(args.dataset)
-    if args.train_count + args.test_count > len(ds):
-        raise SystemExit(f"dataset has {len(ds)} samples, split needs "
-                         f"{args.train_count + args.test_count}")
+    gap = len(ds) - args.train_count - args.test_count
+    train_ds, _, test_ds = split_dataset(ds, (args.train_count, gap, args.test_count))
     fp = _print_fingerprint(args)
-    m = ds.matrices(denormalise=True)
-    report = evaluate.svd_baseline(m[:args.train_count],
-                                   m[len(ds) - args.test_count:],
+    report = evaluate.svd_baseline(train_ds.matrices(denormalise=True),
+                                   test_ds.matrices(denormalise=True),
                                    args.codeword_dim, fingerprint=fp)
     print(f"SVD baseline with n={args.codeword_dim} on {report.count} test "
           f"samples: NMSE {report.nmse_linear:.6g} ({_fmt_db(report.nmse_db)} dB)")
@@ -313,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=0)
+    for name in ("gen-data", "train", "gradcheck"):
+        sub.choices[name].add_argument("--seed", type=int, default=0)
     return parser
 
 

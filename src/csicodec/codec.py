@@ -322,8 +322,12 @@ def adapt_codewords(params: ModelParams, matrices: np.ndarray, inner_steps: int,
 
     Tiles of at most TILE matrices adapt in parallel (util.map_tiles);
     each worker reuses one activation tape across its tiles. Step 1 is
-    inner_adapt_batch's closed-form one, from _grid_values' cache.
-    """
+    inner_adapt_batch's closed-form one, from _grid_values' cache. Refuses
+    inner_steps < 0 and an inner_lr that is not finite and positive."""
+    if inner_steps < 0:
+        raise ValueError(f"inner_steps must be >= 0, got {inner_steps}")
+    if not 0 < inner_lr < np.inf:
+        raise ValueError(f"inner_lr must be finite and positive, got {inner_lr}")
     planes, grid = _to_planes(params, matrices)
     feats, at_zero = _grid_values(params, grid, inner_steps > 0)
     a, dt = params.arch, params.fourier.dtype

@@ -91,19 +91,24 @@ class Dataset:
             out = out * self.norm_scale
         return out
 
-    def slice(self, start: int, stop: int) -> "Dataset":
-        """Contiguous sub-dataset sharing the underlying storage."""
+    def slice(self, start: int, stop: int | None = None) -> "Dataset":
+        """Samples start to stop - 1 (stop None: to the end) on the same
+        storage. The one check on sample windows: a window that breaks
+        0 <= start <= stop <= len(self) raises ValueError naming start, stop
+        and the size; an empty window is allowed."""
+        stop = len(self) if stop is None else stop
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(f"sample window start {start}, stop {stop} does "
+                             f"not fit a dataset of {len(self)} samples")
         return replace(self, planes=self.planes[start:stop])
 
 
 def split_dataset(ds: Dataset, counts: tuple[int, int, int]) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic contiguous train/validation/test split. Counts must not
-    exceed the dataset size; the three parts are disjoint by construction."""
+    """Deterministic contiguous train/validation/test split, disjoint by
+    construction; Dataset.slice refuses counts that do not fit."""
     n_train, n_val, n_test = counts
-    if min(counts) < 0 or n_train + n_val + n_test > len(ds):
-        raise ValueError(f"split {counts} does not fit dataset of {len(ds)} samples")
-    a, b = n_train, n_train + n_val
-    return ds.slice(0, a), ds.slice(a, b), ds.slice(b, b + n_test)
+    b = n_train + n_val
+    return ds.slice(0, n_train), ds.slice(n_train, b), ds.slice(b, b + n_test)
 
 
 def generate_dataset(count: int, seed: int, cfg: SystemConfig,

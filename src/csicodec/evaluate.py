@@ -101,27 +101,31 @@ class MetricReport:
     fingerprint: str = ""
 
 
+def _report(targets: np.ndarray, recons: np.ndarray, codeword_dim: int,
+            bit_width: int | None, mean_bits: float,
+            fingerprint: str) -> MetricReport:
+    """The report of a stack sent as codeword_dim values of bit_width bits
+    each (None: unquantized float32) in mean_bits payload bits a sample."""
+    per = per_sample_nmse(targets, recons)
+    linear = float(np.mean(per))
+    r = rates(codeword_dim, bit_width, mean_bits, *targets.shape[1:])
+    return MetricReport(count=len(per), per_sample=per, nmse_linear=linear,
+                        nmse_db=nmse_db(linear), mean_payload_bits=mean_bits,
+                        raw_bits=(bit_width or 32) * codeword_dim, cr=r.cr,
+                        bit_rate=r.bit_rate, coding_gain=r.coding_gain,
+                        fingerprint=fingerprint)
+
+
 def evaluate_model(params: ModelParams, matrices: np.ndarray, inner_steps: int,
                    state: codec.CodecState | None = None,
                    inner_lr: float = 1e-2, fingerprint: str = "") -> MetricReport:
     """Run the full encode/decode chain over a test stack and measure it."""
     m = np.asarray(matrices)
-    count, rows, cols = m.shape
-    grid = CoordinateGrid(rows, cols)
     streams = codec.encode_dataset(params, m, inner_steps, state, inner_lr)
-    recons = codec.decode_matrices(params, streams, grid, state)
-    per = per_sample_nmse(m, recons)
-    linear = float(np.mean(per))
-    n = params.arch.codeword_dim
-    raw_bits = 32 * n if state is None else state.quantizer.bit_width * n
-    mean_bits = float(np.mean([s.payload_bits for s in streams]))
-    r = rates(n, None if state is None else state.quantizer.bit_width,
-              mean_bits, rows, cols)
-    return MetricReport(count=count, per_sample=per, nmse_linear=linear,
-                        nmse_db=nmse_db(linear), raw_bits=raw_bits,
-                        mean_payload_bits=mean_bits, cr=r.cr,
-                        bit_rate=r.bit_rate, coding_gain=r.coding_gain,
-                        fingerprint=fingerprint)
+    recons = codec.decode_matrices(params, streams, CoordinateGrid(*m.shape[1:]), state)
+    return _report(m, recons, params.arch.codeword_dim,
+                   None if state is None else state.quantizer.bit_width,
+                   float(np.mean([s.payload_bits for s in streams])), fingerprint)
 
 
 def svd_baseline(train_matrices: np.ndarray, test_matrices: np.ndarray,
@@ -131,13 +135,17 @@ def svd_baseline(train_matrices: np.ndarray, test_matrices: np.ndarray,
     Each test sample is sent as n unquantized real coefficients in the
     training principal basis (n = 0 degenerates to the mean-only
     predictor). Anchors the equal-feedback-dimension comparison; rank
-    deficiency is handled by truncating to the nonzero spectrum.
+    deficiency is handled by truncating to the nonzero spectrum. An empty
+    train or test stack is refused by name.
     """
     tr = np.asarray(train_matrices)
     te = np.asarray(test_matrices)
     if tr.ndim != 3 or te.ndim != 3 or tr.shape[1:] != te.shape[1:]:
         raise ValueError("train and test stacks must share matrix shape")
-    count, rows, cols = te.shape
+    for name, m in (("train", tr), ("test", te)):
+        if len(m) == 0:
+            raise ValueError(f"empty {name} stack: no channel matrices")
+    rows, cols = te.shape[1:]
     dims = 2 * rows * cols
     if not (0 <= codeword_dim <= dims):
         raise ValueError(f"codeword_dim must be in 0..{dims}")
@@ -158,16 +166,8 @@ def svd_baseline(train_matrices: np.ndarray, test_matrices: np.ndarray,
         basis = vt[:min(codeword_dim, rank)]
         coeff = (x_te - mean) @ basis.T
         recon = mean + coeff @ basis
-    re = recon[:, :rows * cols].reshape(count, rows, cols)
-    im = recon[:, rows * cols:].reshape(count, rows, cols)
-    per = per_sample_nmse(te, re + 1j * im)
-    linear = float(np.mean(per))
-    r = rates(codeword_dim, None, 32.0 * codeword_dim, rows, cols)
-    return MetricReport(count=count, per_sample=per, nmse_linear=linear,
-                        nmse_db=nmse_db(linear), raw_bits=32 * codeword_dim,
-                        mean_payload_bits=32.0 * codeword_dim, cr=r.cr,
-                        bit_rate=r.bit_rate, coding_gain=r.coding_gain,
-                        fingerprint=fingerprint)
+    recon = (recon[:, :rows * cols] + 1j * recon[:, rows * cols:]).reshape(te.shape)
+    return _report(te, recon, codeword_dim, None, 32.0 * codeword_dim, fingerprint)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ class SweepSpec:
     split used to fit quantizer bounds and frequency tables (falls back to
     the eval dataset when absent, which leaks the eval set into the codec
     fit; fine for smoke runs, not for reported numbers). eval_offset and
-    eval_count select the evaluation slice; fit_count limits fitting samples.
+    eval_count select the evaluation window, and fit_count the first fitting
+    samples, through Dataset.slice, which refuses a window that does not fit.
     Every field but `out` goes into the sweep's fingerprint, and into each
     cell's with the cell's checkpoint, b and s_in in place of the lists.
     """
@@ -282,20 +283,17 @@ def rd_sweep(spec: SweepSpec):
     Cells are visited in spec order; each failure is re-raised naming the
     cell. The report is written to spec.out as CSV.
     """
+    stop = None if spec.eval_count is None else spec.eval_offset + spec.eval_count
     try:
-        eval_ds = load_dataset(spec.dataset)
+        eval_ds = load_dataset(spec.dataset).slice(spec.eval_offset, stop)
     except (OSError, ValueError) as err:
         raise ValueError(f"sweep dataset {spec.dataset}: {err}") from err
-    stop = None if spec.eval_count is None else spec.eval_offset + spec.eval_count
-    eval_m = eval_ds.matrices(denormalise=True)[spec.eval_offset:stop]
-    if eval_m.shape[0] == 0:
-        raise ValueError("sweep eval slice is empty")
     fit_path = spec.fit_dataset or spec.dataset
     try:
-        fit_ds = load_dataset(fit_path)
+        fit_ds = load_dataset(fit_path).slice(0, spec.fit_count)
     except (OSError, ValueError) as err:
         raise ValueError(f"sweep fit dataset {fit_path}: {err}") from err
-    fit_m = fit_ds.matrices(denormalise=True)[:spec.fit_count]
+    eval_m, fit_m = (ds.matrices(denormalise=True) for ds in (eval_ds, fit_ds))
     shared = {k: v for k, v in spec.settings().items() if k not in _SPEC_LISTS}
 
     rows = []

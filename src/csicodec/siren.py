@@ -352,9 +352,10 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     t = t[None, :, :]
 
     out, tape = forward_batch(p, cw[None, :], feats=feats)
-    per_sample, grad_cw, grad = backward_batch(tape, p, t, need_params=True)
-    if not np.isfinite(per_sample[0]):
+    loss = _per_sample_loss(out, t)[0]
+    if not np.isfinite(loss):
         raise ValueError("the loss at this point is not finite")
+    _, grad_cw, grad = backward_batch(tape, p, t, need_params=True)
     analytic = {"codeword": grad_cw[0], **p.arch.split(grad)}
     if not any(np.any(g) for g in analytic.values()):
         raise ValueError("every analytic gradient is exactly 0 (the targets "
@@ -364,8 +365,8 @@ def finite_diff_check(params: ModelParams, codeword: np.ndarray,
     point = {**arrays, "codeword": cw[None, :]}
     # Rounding of the loss scales with the output and target power, which
     # also covers a loss of exactly zero. A NaN drift fails too.
-    drift = abs(_stacked_losses(p, point, feats, t)[0] - per_sample[0])
-    if not drift <= 1e-12 * (per_sample[0] + np.mean(out ** 2) + np.mean(t ** 2)):
+    drift = abs(_stacked_losses(p, point, feats, t)[0] - loss)
+    if not drift <= 1e-12 * (loss + np.mean(out ** 2) + np.mean(t ** 2)):
         raise RuntimeError("loss-only pass disagrees with forward_batch")
 
     act_floats = 4 * t.shape[1] * p.arch.hidden_dim   # live (C, d_h) arrays per copy

@@ -57,6 +57,9 @@ class TrainConfig:
             raise ValueError("batch_size, patience must be >= 1; max_epochs >= 0")
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators in the flat layout of the trainable
@@ -67,9 +70,6 @@ class AdamState:
     moment2: np.ndarray
     scratch: tuple
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -122,16 +122,16 @@ def outer_step(params: ModelParams, adam: AdamState, feats: np.ndarray,
     # worked in the scratch vectors in exactly this operation order, which
     # gives the bits of the same formula on fresh arrays
     adam.step += 1
-    bc1 = 1.0 - adam.beta1 ** adam.step
-    bc2 = 1.0 - adam.beta2 ** adam.step
+    bc1 = 1.0 - ADAM_BETA1 ** adam.step
+    bc2 = 1.0 - ADAM_BETA2 ** adam.step
     m, v = adam.moment1, adam.moment2
     step, denom = adam.scratch
-    m *= adam.beta1
-    m += np.multiply(g, 1.0 - adam.beta1, out=step)
-    v *= adam.beta2
-    v += np.multiply(np.multiply(g, g, out=step), 1.0 - adam.beta2, out=step)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, g, out=step), 1.0 - ADAM_BETA2, out=step)
     np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-    denom += adam.eps
+    denom += ADAM_EPS
     np.divide(m, bc1, out=step)
     step /= denom
     step *= lr

@@ -131,13 +131,15 @@ def test_decode_refuses_a_reference_index_outside_the_dataset(workspace, capsys,
           "--inner-steps", "2"])
     capsys.readouterr()
     recon = root / f"index{index}.npy"
-    with pytest.raises(SystemExit, match=rf"^reference index {index} outside "
-                       r"dataset of 14$"):
-        main(["decode", "--checkpoint", str(workspace["ckpt"]),
-              "--stream", str(stream), "--out", str(recon),
-              "--reference", str(workspace["ds"]), "--index", index])
+    rc = main(["decode", "--checkpoint", str(workspace["ckpt"]),
+               "--stream", str(stream), "--out", str(recon),
+               "--reference", str(workspace["ds"]), "--index", index])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (f"error: sample window start {index}, stop "
+                            f"{int(index) + 1} does not fit a dataset of 14 samples\n")
     assert not recon.exists()                  # refused before decoding
-    assert "config " not in capsys.readouterr().out
+    assert captured.out == ""
 
 
 def test_decode_refuses_a_non_finite_unquantized_payload(workspace, capsys):
@@ -264,6 +266,109 @@ def test_gradcheck_refuses_a_tolerance_that_is_not_finite_and_positive(
     assert captured.out == ""
 
 
+def window_argv(workspace, command, window):
+    """`command`'s argv on the workspace with `window`'s flags added."""
+    root, ds, ckpt = (str(workspace[k]) for k in ("root", "ds", "ckpt"))
+    base = {
+        "train": ["--dataset", ds, "--out", f"{root}/window-out.ckpt",
+                  "--batch-size", "4", "--epochs", "1", *ARCH_ARGS],
+        "fit-codec": ["--checkpoint", ckpt, "--dataset", ds, "--bits", "3",
+                      "--out", f"{root}/window-out.sidecar"],
+        "encode": ["--checkpoint", ckpt, "--dataset", ds,
+                   "--out", f"{root}/window-out.csibit"],
+        "eval": ["--checkpoint", ckpt, "--dataset", ds,
+                 "--out", f"{root}/window-out.csv"],
+        "baseline-svd": ["--dataset", ds, "--codeword-dim", "2"],
+    }[command]
+    return [command, *base, *window.split()]
+
+
+# Each command on the 14-sample workspace set: a negative window and one
+# that runs past the end. decode --reference has its own test above.
+WINDOWS = [
+    ("train", "--train-count -1 --val-count 4"),
+    ("train", "--train-count 8 --val-count -2"),
+    ("train", "--train-count 12 --val-count 3"),
+    ("fit-codec", "--count -1"),
+    ("fit-codec", "--count 15"),
+    ("encode", "--index -1"),
+    ("encode", "--index 14"),
+    ("eval", "--offset -2"),
+    ("eval", "--offset 8 --count -1"),
+    ("eval", "--offset 8 --count 7"),
+    ("baseline-svd", "--train-count -1 --test-count 3"),
+    ("baseline-svd", "--train-count 3 --test-count -1"),
+    ("baseline-svd", "--train-count 10 --test-count 5"),
+]
+
+
+@pytest.mark.parametrize("command, window", WINDOWS)
+def test_a_window_outside_the_dataset_is_refused_before_the_config_line(
+        workspace, capsys, command, window):
+    argv = window_argv(workspace, command, window)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sample window start ")
+    assert captured.err.endswith(" does not fit a dataset of 14 samples\n")
+    assert captured.out == ""
+    assert not any(workspace["root"].glob("window-out.*")), "wrote an output"
+
+
+def test_eval_refuses_an_empty_window_on_the_error_path(workspace, capsys):
+    assert main(window_argv(workspace, "eval", "--offset 14")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the evaluation window is empty\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("window, test", [("--train-count 14 --test-count 0", "test"),
+                                          ("--train-count 0 --test-count 3", "train")])
+def test_baseline_svd_refuses_an_empty_stack_by_name(workspace, capsys, window, test):
+    assert main(window_argv(workspace, "baseline-svd", window)) == 1
+    assert capsys.readouterr().err == f"error: empty {test} stack: no channel matrices\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "encode"])
+def test_a_negative_inner_step_count_is_refused(workspace, capsys, command):
+    out = workspace["root"] / "negative-steps.out"
+    rc = main([command, "--checkpoint", str(workspace["ckpt"]),
+               "--dataset", str(workspace["ds"]), "--inner-steps", "-1",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: inner_steps must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("eval_offset", "-3"), ("fit_count", "-2"),
+                                        ("eval_count", "15")])
+def test_sweep_refuses_a_window_outside_the_dataset(workspace, capsys, key, value):
+    root = workspace["root"]
+    report = root / "window-sweep.csv"
+    spec = root / "window.spec"
+    keys = {"fit_count": "8", "eval_offset": "8", "eval_count": "4", key: value}
+    spec.write_text(f"dataset = {workspace['ds']}\ncheckpoints = {workspace['ckpt']}\n"
+                    f"bits = 3\ninner_steps = 2\nout = {report}\n"
+                    + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["sweep", "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep {'fit ' if key == 'fit_count' else ''}"
+                          f"dataset {workspace['ds']}: sample window start ")
+    assert not report.exists()
+
+
+def test_only_the_commands_that_draw_random_numbers_take_a_seed():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    seeded = {name for name, p in sub.choices.items()
+              if any("--seed" in a.option_strings for a in p._actions)}
+    assert seeded == {"gen-data", "train", "gradcheck"}
+    with pytest.raises(SystemExit):
+        main(["baseline-svd", "--dataset", "x", "--codeword-dim", "2",
+              "--train-count", "1", "--test-count", "1", "--seed", "1"])
+
+
 def test_unknown_and_missing_arguments_fail(workspace):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
@@ -335,33 +440,33 @@ def fingerprint_cases(workspace):
              str(root / "fp.sidecar"), "--bits", "3", "--inner-steps", "2",
              "--count", "8"],
             {"--checkpoint": alt[ckpt], "--dataset": alt[ds], "--bits": "4",
-             "--inner-steps": "1", "--count": "7", "--seed": "1"}, out),
+             "--inner-steps": "1", "--count": "7"}, out),
         "encode": (
             ["--checkpoint", str(ckpt), "--dataset", str(ds), "--index", "9",
              "--out", str(root / "fp2.csibit"), "--sidecar", str(side),
              "--inner-steps", "2"],
             {"--checkpoint": alt[ckpt], "--dataset": alt[ds], "--index": "8",
-             "--sidecar": alt[side], "--inner-steps": "1", "--seed": "1"}, out),
+             "--sidecar": alt[side], "--inner-steps": "1"}, out),
         "decode": (
             ["--checkpoint", str(ckpt), "--stream", str(stream), "--out",
              str(root / "fp.npy"), "--sidecar", str(side), "--rows", "4",
              "--cols", "4"],
             {"--checkpoint": alt[ckpt], "--stream": alt[stream],
              "--sidecar": alt[side], "--rows": "5", "--cols": "5",
-             "--reference": alt[ds], "--index": "8", "--seed": "1"},
+             "--reference": alt[ds], "--index": "8"},
             {"--out": str(root / "elsewhere.npy")}),
         "eval": (
             ["--checkpoint", str(ckpt), "--dataset", str(ds), "--sidecar", str(side),
              "--inner-steps", "2", "--offset", "8", "--count", "4"],
             {"--checkpoint": alt[ckpt], "--dataset": alt[ds], "--sidecar": alt[side],
-             "--inner-steps": "1", "--offset": "7", "--count": "3", "--seed": "1"},
+             "--inner-steps": "1", "--offset": "7", "--count": "3"},
             out),
-        "sweep": (["--spec", str(spec)], {"--spec": alt[spec], "--seed": "1"}, {}),
+        "sweep": (["--spec", str(spec)], {"--spec": alt[spec]}, {}),
         "baseline-svd": (
             ["--dataset", str(ds), "--codeword-dim", "4", "--train-count", "8",
              "--test-count", "4"],
             {"--dataset": alt[ds], "--codeword-dim": "3", "--train-count": "9",
-             "--test-count": "5", "--seed": "1"}, {}),
+             "--test-count": "5"}, {}),
         "gradcheck": (
             ARCH_ARGS,
             {"--hidden-dim": "9", "--layers": "3", "--codeword-dim": "5",

@@ -380,6 +380,19 @@ def test_a_diverging_tile_raises_and_restores_blas_threads(tile_threads, monkeyp
     assert tile_threads.get() == before
 
 
+@pytest.mark.parametrize("steps, lr, message", [
+    (-1, 1e-2, "inner_steps must be >= 0, got -1"),
+    (3, 0.0, "inner_lr must be finite and positive, got 0.0"),
+    (3, -1e-2, "inner_lr must be finite and positive, got -0.01"),
+    (3, np.nan, "inner_lr must be finite and positive, got nan"),
+    (0, np.inf, "inner_lr must be finite and positive, got inf"),
+])
+def test_adapt_codewords_refuses_inner_settings_it_cannot_use(steps, lr, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        adapt_codewords(make_model(), make_matrices(20, count=2), steps,
+                        inner_lr=lr)
+
+
 def test_state_table_must_cover_the_alphabet():
     q = simple_quantizer(3)
     with pytest.raises(ValueError):

@@ -136,6 +136,31 @@ def test_split_is_disjoint_and_contiguous():
         split_dataset(ds, (8, 2, 2))
 
 
+@pytest.mark.parametrize("start, stop", [(-1, 3), (-1, None), (4, 3), (0, 11),
+                                         (11, None), (2, -1)])
+def test_slice_refuses_a_window_that_does_not_fit(start, stop):
+    ds = generate_dataset(10, 4, CFG)
+    resolved = 10 if stop is None else stop
+    with pytest.raises(ValueError, match=rf"^sample window start {start}, stop "
+                       rf"{resolved} does not fit a dataset of 10 samples$"):
+        ds.slice(start, stop)
+
+
+def test_slice_selects_what_indexing_selects_and_allows_an_empty_window():
+    ds = generate_dataset(10, 4, CFG)
+    for start, stop in ((0, 10), (3, 7), (9, None), (4, 4), (10, 10), (10, None)):
+        got = ds.slice(start, stop).matrices(denormalise=True)
+        np.testing.assert_array_equal(got, ds.matrices(denormalise=True)[start:stop])
+    assert len(ds.slice(4, 4)) == 0 and len(ds.slice(10)) == 0
+
+
+@pytest.mark.parametrize("counts", [(-1, 3, 2), (3, -1, 2), (3, 2, -1), (6, 2, 3)])
+def test_split_refuses_a_negative_count_through_slice(counts):
+    ds = generate_dataset(10, 4, CFG)
+    with pytest.raises(ValueError, match="^sample window start"):
+        split_dataset(ds, counts)
+
+
 def test_sampling_spec_validation():
     with pytest.raises(ValueError):
         SamplingSpec(delay_max=0.0)

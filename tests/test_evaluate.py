@@ -147,6 +147,14 @@ def test_svd_validation():
         svd_baseline(tr, tr, -1)
 
 
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_svd_refuses_an_empty_stack_by_name(empty):
+    tr, te = random_stack(15), random_stack(16)
+    stacks = {"train": tr, "test": te, empty: (tr if empty == "train" else te)[:0]}
+    with pytest.raises(ValueError, match=f"^empty {empty} stack: no channel matrices$"):
+        svd_baseline(stacks["train"], stacks["test"], 2)
+
+
 ARCH = ArchConfig(hidden_dim=8, num_layers=2, codeword_dim=4,
                   omega0=30.0, fourier_scale=2.0)
 
@@ -290,3 +298,18 @@ def test_sweep_runs_every_cell_and_writes_the_report(tmp_path):
                         inner_steps=(1,), out=str(out))
     with pytest.raises(ValueError, match="absent.csid"):
         rd_sweep(missing)
+
+
+@pytest.mark.parametrize("bits", [None, 3])
+def test_sweep_refuses_a_negative_inner_step_count_naming_the_cell(tmp_path, bits):
+    cfg = half_wavelength_config(num_antennas=4, num_subcarriers=4, num_paths=2)
+    ds_path, ckpt = tmp_path / "tiny.csid", tmp_path / "tiny.ckpt"
+    save_dataset(generate_dataset(6, 22, cfg), ds_path)
+    save_checkpoint(init_params(2, ARCH, mod_scale=0.5), ckpt)
+    out = tmp_path / "report.csv"
+    spec = SweepSpec(dataset=str(ds_path), checkpoints=(str(ckpt),),
+                     bits=(bits,), inner_steps=(2, -1), out=str(out))
+    with pytest.raises(ValueError, match=rf"^sweep cell checkpoint={ckpt} b={bits} "
+                       r"s_in=-1: inner_steps must be >= 0, got -1$"):
+        rd_sweep(spec)
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -305,10 +306,12 @@ def test_finite_diff_refuses_a_nan_loss_only_pass(monkeypatch):
 
 
 def test_finite_diff_refuses_a_non_finite_loss():
-    # an infinite output bias makes every prediction, and so the loss, inf
+    # an infinite output bias makes every prediction, and so the loss, inf;
+    # the check refuses it before any backward pass, which would warn
     params = init_params(0, ARCH).with_blocks({"out_b": np.array([np.inf, 0], np.float32)})
-    with np.errstate(all="ignore"), \
+    with warnings.catch_warnings(), np.errstate(all="warn"), \
             pytest.raises(ValueError, match="loss at this point is not finite"):
+        warnings.simplefilter("error", RuntimeWarning)
         finite_diff_check(params, np.zeros(ARCH.codeword_dim),
                           COORDS, np.ones((len(COORDS), 2)))
 
